@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use qrm_core::aod::AodBatcher;
+use qrm_core::aod::{AodBatcher, BatchScratch};
 use qrm_core::bitline;
 use qrm_core::error::Error;
 use qrm_core::executor::Executor;
@@ -59,7 +59,7 @@ pub fn realize_plan(
     plan: &[PlannedMove],
 ) -> Result<RealizeStats, Error> {
     let executor = Executor::new();
-    let batcher = AodBatcher::new();
+    let mut batches = BatchScratch::default();
     let mut stats = RealizeStats::default();
 
     // Track each atom's current position and remaining displacement.
@@ -79,7 +79,7 @@ pub fn realize_plan(
                 continue;
             }
             advanced_any = true;
-            emit_wave(grid, schedule, &executor, &batcher, axis, sign, &movers)?;
+            emit_wave(grid, schedule, &executor, &mut batches, axis, sign, &movers)?;
             stats.waves += 1;
             // Update pending positions.
             for (pos, delta) in pending.iter_mut() {
@@ -143,7 +143,7 @@ fn emit_wave(
     grid: &mut AtomGrid,
     schedule: &mut Schedule,
     executor: &Executor,
-    batcher: &AodBatcher,
+    batches: &mut BatchScratch,
     axis: Axis,
     sign: isize,
     movers: &[Position],
@@ -167,17 +167,17 @@ fn emit_wave(
             true,
         );
     }
-    let occ: Vec<&[u64]> = (0..view.height()).map(|l| view.row_bits(l)).collect();
-    let movers_vec: Vec<(usize, Vec<u64>)> = per_line.into_iter().collect();
+    let lines: Vec<usize> = per_line.keys().copied().collect();
+    let masks: Vec<u64> = per_line.into_values().flatten().collect();
     let (dr, dc) = match axis {
         Axis::Row => (0isize, sign),
         Axis::Col => (sign, 0isize),
     };
-    for batch in batcher.batch(&occ, &movers_vec) {
+    for batch in AodBatcher::new().batch(&view, &lines, &masks, batches) {
         let positions = batch.positions(width);
         let (rows, cols) = match axis {
-            Axis::Row => (batch.lines, positions),
-            Axis::Col => (positions, batch.lines),
+            Axis::Row => (batch.lines.clone(), positions),
+            Axis::Col => (positions, batch.lines.clone()),
         };
         let mv = ParallelMove::new(rows, cols, dr, dc)?;
         let mut single = Schedule::new(grid.height(), grid.width());

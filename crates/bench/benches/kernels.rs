@@ -1,13 +1,17 @@
 //! Microbenchmarks of the kernel primitives: bit-line operations, a
-//! single kernel pass, and the cycle-accurate shift-unit simulation at
-//! the headline quadrant size (Qw = 25).
+//! single kernel pass, the cycle-accurate shift-unit simulation at the
+//! headline quadrant size (Qw = 25), and the cross-quadrant merge of one
+//! 50x50 paper instance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_core::bitline;
+use qrm_core::engine::{decompose, kernel_config_for};
 use qrm_core::geometry::Axis;
 use qrm_core::grid::AtomGrid;
-use qrm_core::kernel::{plan_row_windows, run_pass, KernelStrategy};
+use qrm_core::kernel::{plan_row_windows, run_pass, KernelOutcome, KernelStrategy, ShiftKernel};
 use qrm_core::loading::seeded_rng;
+use qrm_core::merge::{merge_outcomes, MergeConfig};
+use qrm_core::scheduler::QrmConfig;
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -52,6 +56,18 @@ fn bench_kernels(c: &mut Criterion) {
     let unit = ShiftUnit::new(25);
     group.bench_function("shift_unit_sim_25", |b| {
         b.iter(|| unit.run(Axis::Row, &jobs))
+    });
+
+    // the merge of one paper instance's four quadrant outcomes
+    let (grid, target) = qrm_bench::paper_instance(50, 0);
+    let work = decompose(&grid, &target).expect("paper instance decomposes");
+    let kernel = ShiftKernel::new(kernel_config_for(&QrmConfig::paper(), &work));
+    let outcomes: [KernelOutcome; 4] = work
+        .quadrants
+        .each_ref()
+        .map(|q| kernel.run(q).expect("kernel run"));
+    group.bench_function("merge_paper_50", |b| {
+        b.iter(|| merge_outcomes(&grid, &work.map, &outcomes, &MergeConfig::default()))
     });
 
     group.finish();

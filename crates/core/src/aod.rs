@@ -81,6 +81,39 @@ impl Batch {
     }
 }
 
+/// Reusable buffers of [`AodBatcher::batch`]: the batches of the last
+/// call, plus the mover indices each holds (the first-fit path checks
+/// new bits against every member's own mask). A warm scratch makes
+/// batching allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScratch {
+    batches: Vec<Batch>,
+    members: Vec<Vec<usize>>,
+    union: Vec<u64>,
+    len: usize,
+}
+
+impl BatchScratch {
+    /// Opens batch slot `len`, reusing its buffers, with `union` as its
+    /// union mask.
+    fn open(&mut self, union: &[u64]) -> usize {
+        let slot = self.len;
+        if slot == self.batches.len() {
+            self.batches.push(Batch {
+                lines: Vec::new(),
+                union_mask: Vec::new(),
+            });
+            self.members.push(Vec::new());
+        }
+        self.batches[slot].lines.clear();
+        self.batches[slot].union_mask.clear();
+        self.batches[slot].union_mask.extend_from_slice(union);
+        self.members[slot].clear();
+        self.len += 1;
+        slot
+    }
+}
+
 /// Greedy batcher that partitions per-line mover sets into AOD-legal
 /// groups.
 ///
@@ -99,114 +132,131 @@ impl AodBatcher {
         AodBatcher { _private: () }
     }
 
-    /// Partitions `movers` into legal batches.
+    /// Partitions movers into legal batches, returned from `scratch`.
     ///
-    /// * `occ` — occupancy mask per line index (full array of lines);
-    /// * `movers` — `(line, mover_mask)` pairs; every mover bit must be
-    ///   occupied in `occ[line]`.
+    /// * `occ` — occupancy per line: line `l` is `occ.row_bits(l)` (pass
+    ///   a transposed grid for column lines);
+    /// * `lines` — the mover lines, in processing order;
+    /// * `masks` — the mover mask of `lines[i]` at
+    ///   `masks[i * stride..(i + 1) * stride]`, with `stride` the word
+    ///   count of an `occ` row; every mover bit must be occupied.
     ///
     /// Lines are processed in the given order; each line joins the first
     /// open batch it is compatible with (first-fit), which keeps the
-    /// common fully-compatible case at one batch.
+    /// common fully-compatible case at one batch. Lines with an empty
+    /// mask are skipped.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that mover bits are occupied.
-    pub fn batch(&self, occ: &[&[u64]], movers: &[(usize, Vec<u64>)]) -> Vec<Batch> {
+    /// Panics when `masks` is not `lines.len()` rows of `stride` words;
+    /// debug-asserts that mover bits are occupied.
+    pub fn batch<'s>(
+        &self,
+        occ: &AtomGrid,
+        lines: &[usize],
+        masks: &[u64],
+        scratch: &'s mut BatchScratch,
+    ) -> &'s [Batch] {
+        let stride = bitline::words_for(occ.width());
+        assert_eq!(masks.len(), lines.len() * stride, "mask stride mismatch");
+        let mover = |i: usize| &masks[i * stride..(i + 1) * stride];
+        let moves = |i: usize| mover(i).iter().any(|&w| w != 0);
+        scratch.len = 0;
+
         // Fast path: a single batch works whenever no line holds a
         // stationary atom under the union of all mover columns — by far
         // the common case for compaction waves.
-        let words = movers.iter().map(|(_, m)| m.len()).max().unwrap_or(0);
-        let mut union = vec![0u64; words];
-        let mut nonempty = 0usize;
-        for (_, mask) in movers {
-            if bitline::count_ones(mask) == 0 {
-                continue;
-            }
-            nonempty += 1;
-            for (u, m) in union.iter_mut().zip(mask.iter()) {
+        let mut union = std::mem::take(&mut scratch.union);
+        union.clear();
+        union.resize(stride, 0);
+        for i in (0..lines.len()).filter(|&i| moves(i)) {
+            for (u, m) in union.iter_mut().zip(mover(i)) {
                 *u |= m;
             }
         }
-        if nonempty == 0 {
-            return Vec::new();
-        }
-        let all_compatible = movers.iter().all(|(line, mask)| {
-            bitline::count_ones(mask) == 0
-                || occ[*line]
-                    .iter()
-                    .zip(union.iter().zip(mask.iter()))
-                    .all(|(o, (u, m))| o & u & !m == 0)
+        let all_compatible = (0..lines.len()).filter(|&i| moves(i)).all(|i| {
+            occ.row_bits(lines[i])
+                .iter()
+                .zip(union.iter().zip(mover(i)))
+                .all(|(o, (u, m))| o & u & !m == 0)
         });
-        if all_compatible {
-            return vec![Batch {
-                lines: movers
-                    .iter()
-                    .filter(|(_, m)| bitline::count_ones(m) > 0)
-                    .map(|(l, _)| *l)
-                    .collect(),
-                union_mask: union,
-            }];
-        }
-
-        // (lines, per-line mover masks, union mask)
-        type OpenBatch = (Vec<usize>, Vec<Vec<u64>>, Vec<u64>);
-        let mut batches: Vec<OpenBatch> = Vec::new();
-        // (lines, per-line mover masks, union mask)
-        for (line, mask) in movers {
-            if bitline::count_ones(mask) == 0 {
-                continue;
-            }
-            debug_assert!(
-                mask.iter().zip(occ[*line].iter()).all(|(m, o)| m & !o == 0),
-                "mover bits must be occupied"
-            );
-            let mut placed = false;
-            'batch: for (lines, line_masks, union) in batches.iter_mut() {
-                // Candidate line must tolerate the existing union...
-                for (m, (o, u)) in mask.iter().zip(occ[*line].iter().zip(union.iter())) {
-                    if o & u & !m != 0 {
-                        continue 'batch;
-                    }
-                }
-                // ...and every existing line must tolerate the new bits.
-                for (l, lm) in lines.iter().zip(line_masks.iter()) {
-                    for ((o, m), lmw) in occ[*l].iter().zip(mask.iter()).zip(lm.iter()) {
-                        if o & m & !lmw != 0 {
-                            continue 'batch;
+        let any_moves = union.iter().any(|&w| w != 0);
+        if any_moves && all_compatible {
+            let slot = scratch.open(&union);
+            let moving = (0..lines.len()).filter(|&i| moves(i));
+            scratch.batches[slot].lines.extend(moving.map(|i| lines[i]));
+        } else if any_moves {
+            for i in (0..lines.len()).filter(|&i| moves(i)) {
+                let (mask, occ_line) = (mover(i), occ.row_bits(lines[i]));
+                debug_assert!(
+                    mask.iter().zip(occ_line).all(|(m, o)| m & !o == 0),
+                    "mover bits must be occupied"
+                );
+                let fits = |b: usize| {
+                    // Candidate line must tolerate the existing union...
+                    let batch_union = &scratch.batches[b].union_mask;
+                    mask.iter()
+                        .zip(occ_line.iter().zip(batch_union))
+                        .all(|(m, (o, u))| o & u & !m == 0)
+                    // ...and every existing line must tolerate the new bits.
+                        && scratch.members[b].iter().all(|&j| {
+                            occ.row_bits(lines[j])
+                                .iter()
+                                .zip(mask.iter().zip(mover(j)))
+                                .all(|(o, (m, lm))| o & m & !lm == 0)
+                        })
+                };
+                let slot = match (0..scratch.len).find(|&b| fits(b)) {
+                    Some(b) => {
+                        for (u, m) in scratch.batches[b].union_mask.iter_mut().zip(mask) {
+                            *u |= m;
                         }
+                        b
                     }
-                }
-                lines.push(*line);
-                line_masks.push(mask.clone());
-                for (u, m) in union.iter_mut().zip(mask.iter()) {
-                    *u |= m;
-                }
-                placed = true;
-                break;
-            }
-            if !placed {
-                batches.push((vec![*line], vec![mask.clone()], mask.clone()));
+                    None => scratch.open(mask),
+                };
+                scratch.batches[slot].lines.push(lines[i]);
+                scratch.members[slot].push(i);
             }
         }
-        batches
-            .into_iter()
-            .map(|(lines, _, union_mask)| Batch { lines, union_mask })
-            .collect()
+        scratch.union = union;
+        &scratch.batches[..scratch.len]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitline::words_for;
 
-    fn mask(bits: &[usize], width: usize) -> Vec<u64> {
-        let mut m = vec![0u64; words_for(width)];
-        for &b in bits {
-            bitline::set(&mut m, b, true);
+    const WIDTH: usize = 8;
+
+    /// Occupancy grid with one line per entry of `rows`.
+    fn occupancy(rows: &[&[usize]]) -> AtomGrid {
+        let mut g = AtomGrid::new(rows.len(), WIDTH).unwrap();
+        for (r, bits) in rows.iter().enumerate() {
+            for &c in *bits {
+                g.set_unchecked(r, c, true);
+            }
         }
-        m
+        g
+    }
+
+    /// Batches `(line, mover bits)` pairs over `occ`, returning each
+    /// batch's lines and positions.
+    fn batch(occ: &AtomGrid, movers: &[(usize, &[usize])]) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let lines: Vec<usize> = movers.iter().map(|&(l, _)| l).collect();
+        let mut masks = vec![0u64; movers.len()];
+        for (m, &(_, bits)) in masks.iter_mut().zip(movers) {
+            for &b in bits {
+                bitline::set(std::slice::from_mut(m), b, true);
+            }
+        }
+        let mut scratch = BatchScratch::default();
+        AodBatcher::new()
+            .batch(occ, &lines, &masks, &mut scratch)
+            .iter()
+            .map(|b| (b.lines.clone(), b.positions(WIDTH)))
+            .collect()
     }
 
     #[test]
@@ -235,86 +285,80 @@ mod tests {
 
     #[test]
     fn compatible_lines_merge_into_one_batch() {
-        let width = 8;
         // rows: 0 -> atoms {2,3}, 1 -> atoms {2,3}; both move {2,3}.
-        let occ0 = mask(&[2, 3], width);
-        let occ1 = mask(&[2, 3], width);
-        let occ: Vec<&[u64]> = vec![&occ0, &occ1];
-        let movers = vec![(0usize, mask(&[2, 3], width)), (1, mask(&[2, 3], width))];
-        let batches = AodBatcher::new().batch(&occ, &movers);
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].lines, vec![0, 1]);
-        assert_eq!(batches[0].positions(width), vec![2, 3]);
+        let occ = occupancy(&[&[2, 3], &[2, 3]]);
+        let batches = batch(&occ, &[(0, &[2, 3]), (1, &[2, 3])]);
+        assert_eq!(batches, vec![(vec![0, 1], vec![2, 3])]);
     }
 
     #[test]
     fn incompatible_lines_split() {
-        let width = 8;
         // row 0 moves {3}, but row 1 has a stationary atom at 3 while
         // moving {5}: the union {3,5} would trap row 1's atom at 3.
-        let occ0 = mask(&[3], width);
-        let occ1 = mask(&[3, 5], width);
-        let occ: Vec<&[u64]> = vec![&occ0, &occ1];
-        let movers = vec![(0usize, mask(&[3], width)), (1, mask(&[5], width))];
-        let batches = AodBatcher::new().batch(&occ, &movers);
+        let occ = occupancy(&[&[3], &[3, 5]]);
+        let batches = batch(&occ, &[(0, &[3]), (1, &[5])]);
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].lines, vec![0]);
-        assert_eq!(batches[1].lines, vec![1]);
+        assert_eq!(batches[0].0, vec![0]);
+        assert_eq!(batches[1].0, vec![1]);
     }
 
     #[test]
     fn superset_movers_are_compatible() {
-        let width = 8;
         // row 0 moves {2,3}; row 1 moves {2}: union {2,3} must not trap a
         // stationary atom in row 1 at col 3 — row 1 has no atom at 3.
-        let occ0 = mask(&[2, 3], width);
-        let occ1 = mask(&[2], width);
-        let occ: Vec<&[u64]> = vec![&occ0, &occ1];
-        let movers = vec![(0usize, mask(&[2, 3], width)), (1, mask(&[2], width))];
-        let batches = AodBatcher::new().batch(&occ, &movers);
+        let occ = occupancy(&[&[2, 3], &[2]]);
+        let batches = batch(&occ, &[(0, &[2, 3]), (1, &[2])]);
         assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].lines, vec![0, 1]);
+        assert_eq!(batches[0].0, vec![0, 1]);
     }
 
     #[test]
     fn empty_mover_masks_skipped() {
-        let width = 8;
-        let occ0 = mask(&[1], width);
-        let occ: Vec<&[u64]> = vec![&occ0];
-        let movers = vec![(0usize, mask(&[], width))];
-        assert!(AodBatcher::new().batch(&occ, &movers).is_empty());
+        let occ = occupancy(&[&[1]]);
+        assert!(batch(&occ, &[(0, &[])]).is_empty());
     }
 
     #[test]
     fn later_line_conflicting_with_union_opens_new_batch() {
-        let width = 8;
         // rows 0,1 move {4}; row 2 moves {6} but has stationary atom at 4.
-        let occ0 = mask(&[4], width);
-        let occ1 = mask(&[4], width);
-        let occ2 = mask(&[4, 6], width);
-        let occ: Vec<&[u64]> = vec![&occ0, &occ1, &occ2];
-        let movers = vec![
-            (0usize, mask(&[4], width)),
-            (1, mask(&[4], width)),
-            (2, mask(&[6], width)),
-        ];
-        let batches = AodBatcher::new().batch(&occ, &movers);
+        let occ = occupancy(&[&[4], &[4], &[4, 6]]);
+        let batches = batch(&occ, &[(0, &[4]), (1, &[4]), (2, &[6])]);
         assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].lines, vec![0, 1]);
-        assert_eq!(batches[1].lines, vec![2]);
+        assert_eq!(batches[0].0, vec![0, 1]);
+        assert_eq!(batches[1].0, vec![2]);
     }
 
     #[test]
     fn new_line_breaking_existing_line_opens_new_batch() {
-        let width = 8;
         // row 0 moves {2} and ALSO has a stationary atom at 5.
         // row 1 moves {5}: adding row 1's union bit 5 would trap row 0's
         // stationary atom at 5.
-        let occ0 = mask(&[2, 5], width);
-        let occ1 = mask(&[5], width);
-        let occ: Vec<&[u64]> = vec![&occ0, &occ1];
-        let movers = vec![(0usize, mask(&[2], width)), (1, mask(&[5], width))];
-        let batches = AodBatcher::new().batch(&occ, &movers);
+        let occ = occupancy(&[&[2, 5], &[5]]);
+        let batches = batch(&occ, &[(0, &[2]), (1, &[5])]);
         assert_eq!(batches.len(), 2);
+    }
+
+    #[test]
+    fn warm_scratch_reproduces_cold_batches() {
+        // Each call must forget the batches of the one before, however
+        // many it left behind.
+        let split = occupancy(&[&[3], &[3, 5], &[1, 3, 5]]);
+        let merged = occupancy(&[&[2, 3], &[2, 3], &[]]);
+        let mut scratch = BatchScratch::default();
+        let batcher = AodBatcher::new();
+        let (lines, split_masks) = ([0, 1, 2], [1 << 3, 1 << 5, 1 << 1]);
+        let cold = batch(&split, &[(0, &[3]), (1, &[5]), (2, &[1])]);
+        for _ in 0..2 {
+            let warm = batcher.batch(&split, &lines, &split_masks, &mut scratch);
+            let warm: Vec<_> = warm
+                .iter()
+                .map(|b| (b.lines.clone(), b.positions(WIDTH)))
+                .collect();
+            assert_eq!(warm, cold);
+            let one = batcher.batch(&merged, &lines[..2], &[0b1100, 0b1100], &mut scratch);
+            assert_eq!(one.len(), 1);
+            assert_eq!(one[0].lines, vec![0, 1]);
+            assert_eq!(one[0].union_mask, vec![0b1100]);
+        }
     }
 }

@@ -182,33 +182,36 @@ pub fn ones(words: &[u64], width: usize) -> Vec<usize> {
     out
 }
 
-/// Shifts a whole line one position toward higher indices (west-to-east),
-/// dropping any bit that would leave `width`.
-pub fn shift_up_one(words: &[u64], width: usize) -> Vec<u64> {
+/// Writes `words` shifted one position toward higher indices
+/// (west-to-east) into `out`, dropping any bit that would leave `width`.
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than `words`.
+pub fn shift_up_one_into(words: &[u64], width: usize, out: &mut [u64]) {
     let n = words.len();
-    let mut out = vec![0u64; n];
     let mut carry = 0u64;
-    for i in 0..n {
-        out[i] = (words[i] << 1) | carry;
-        carry = words[i] >> (WORD_BITS - 1);
+    for (o, &w) in out[..n].iter_mut().zip(words) {
+        *o = (w << 1) | carry;
+        carry = w >> (WORD_BITS - 1);
     }
     let tail = width % WORD_BITS;
     if tail != 0 {
         out[n - 1] &= low_mask(tail);
     }
-    out
 }
 
-/// Shifts a whole line one position toward lower indices (east-to-west),
-/// dropping bit 0.
-pub fn shift_down_one(words: &[u64]) -> Vec<u64> {
-    let n = words.len();
-    let mut out = vec![0u64; n];
-    for i in 0..n {
-        let next = if i + 1 < n { words[i + 1] } else { 0 };
-        out[i] = (words[i] >> 1) | (next << (WORD_BITS - 1));
+/// Writes `words` shifted one position toward lower indices
+/// (east-to-west) into `out`, dropping bit 0.
+///
+/// # Panics
+///
+/// Panics when `out` is shorter than `words`.
+pub fn shift_down_one_into(words: &[u64], out: &mut [u64]) {
+    for (i, (o, &w)) in out[..words.len()].iter_mut().zip(words).enumerate() {
+        let next = words.get(i + 1).copied().unwrap_or(0);
+        *o = (w >> 1) | (next << (WORD_BITS - 1));
     }
-    out
 }
 
 /// Builds a mask with bits `lo..hi` set, `len_words` words long.
@@ -386,9 +389,11 @@ mod tests {
         for pos in [0, 63, 64, 129] {
             set(&mut w, pos, true);
         }
-        let up = shift_up_one(&w, width);
+        let mut up = vec![u64::MAX; w.len()];
+        shift_up_one_into(&w, width, &mut up);
         assert_eq!(ones(&up, width), vec![1, 64, 65]); // 129 dropped
-        let down = shift_down_one(&w);
+        let mut down = vec![u64::MAX; w.len()];
+        shift_down_one_into(&w, &mut down);
         assert_eq!(ones(&down, width), vec![62, 63, 128]); // 0 dropped
     }
 

@@ -413,13 +413,7 @@ impl AtomGrid {
     /// "interpreting columns as rows").
     pub fn transpose(&self) -> Self {
         let mut out = AtomGrid::new(self.width, self.height).expect("same dims");
-        for r in 0..self.height {
-            for c in 0..self.width {
-                if self.get_unchecked(r, c) {
-                    out.set_unchecked(c, r, true);
-                }
-            }
-        }
+        self.transpose_into(&mut out);
         out
     }
 
@@ -431,10 +425,17 @@ impl AtomGrid {
     /// [`transpose`](Self::transpose) returns.
     pub fn transpose_into(&self, out: &mut AtomGrid) {
         out.reshape(self.width, self.height);
-        for r in 0..self.height {
-            for c in 0..self.width {
-                if self.get_unchecked(r, c) {
-                    out.set_unchecked(c, r, true);
+        // Visit only the set bits of each row word. Bits at or above
+        // `width` are zero (the tail invariant), so every visited column
+        // is in range.
+        for (r, row) in self.words.chunks_exact(self.stride).enumerate() {
+            let (word, bit) = (r / WORD_BITS, 1u64 << (r % WORD_BITS));
+            for (i, &w) in row.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    let c = i * WORD_BITS + w.trailing_zeros() as usize;
+                    out.words[c * out.stride + word] |= bit;
+                    w &= w - 1;
                 }
             }
         }
@@ -584,6 +585,7 @@ impl fmt::Debug for AtomGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -649,6 +651,51 @@ mod tests {
             let g = AtomGrid::random(h, w, 0.4, &mut rng);
             g.transpose_into(&mut out);
             assert_eq!(out, g.transpose(), "{h}x{w}");
+        }
+    }
+
+    /// Per-site reference for the word-level transpose.
+    fn transpose_ref(g: &AtomGrid) -> AtomGrid {
+        let mut out = AtomGrid::new(g.width(), g.height()).unwrap();
+        for r in 0..g.height() {
+            for c in 0..g.width() {
+                if g.get_unchecked(r, c) {
+                    out.set_unchecked(c, r, true);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose_matches_per_site_reference_on_multiword_shapes() {
+        let mut rng = StdRng::seed_from_u64(70);
+        let mut out = AtomGrid::random(5, 9, 0.5, &mut rng);
+        for (h, w) in [(70, 130), (130, 70), (64, 65), (1, 130), (129, 1)] {
+            let g = AtomGrid::random(h, w, 0.5, &mut rng);
+            assert_eq!(g.transpose(), transpose_ref(&g), "{h}x{w}");
+            g.transpose_into(&mut out);
+            assert_eq!(out, transpose_ref(&g), "{h}x{w} into");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn transpose_into_matches_per_site_reference(
+            h in 1usize..140,
+            w in 1usize..140,
+            fill in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = AtomGrid::random(h, w, fill, &mut rng);
+            // Stale, mis-shaped scratch.
+            let mut out = AtomGrid::random(w % 7 + 1, h % 5 + 1, 0.5, &mut rng);
+            g.transpose_into(&mut out);
+            prop_assert_eq!(&out, &transpose_ref(&g));
+            prop_assert_eq!(g.transpose(), out);
         }
     }
 

@@ -25,6 +25,13 @@
 //! The paper's `sen` manual-control signal (blocking selected lines from
 //! shifting, §IV-C) is exposed as [`KernelConfig::row_enable`] /
 //! [`KernelConfig::col_enable`].
+//!
+//! The hardware scans every position of every line; software computes
+//! the same waves event-driven. Each line jumps from one eligible hole
+//! to the next ([`bitline::eligible_hole`]), so a pass costs time in
+//! proportion to the shifts it emits rather than to `lines x positions`,
+//! and the logged shifts are grouped into waves by hole afterwards (see
+//! [`run_pass`]). Column passes run on a transposed copy of the grid.
 
 use crate::bitline;
 use crate::error::Error;
@@ -233,10 +240,11 @@ impl KernelScratch {
     }
 }
 
-/// Recycled per-pass working buffer: the transposed view a column pass
-/// scans in place of the grid. A warm `PassScratch` makes
-/// [`run_pass_in`] (and therefore [`ShiftKernel::step`]) allocation-free
-/// in steady state; results are bit-identical to a cold one. Recovered
+/// Recycled per-pass working buffers: the transposed view a column pass
+/// scans in place of the grid, and the log of the pass's shifts. With a
+/// warm `PassScratch`, [`run_pass_in`] (and therefore
+/// [`ShiftKernel::step`]) allocates only the returned waves, each at its
+/// exact size; results are bit-identical to a cold one. Recovered
 /// from a finished run with [`ShiftKernel::finish_split`] and fed back
 /// in through [`ShiftKernel::start_with`] — the engine's
 /// [`PlanContext`](crate::engine::PlanContext) pools these alongside
@@ -244,6 +252,40 @@ impl KernelScratch {
 #[derive(Debug, Clone)]
 pub struct PassScratch {
     view: AtomGrid,
+    log: ShiftLog,
+}
+
+/// The shifts of one pass in the order they fire (line-major), and a
+/// per-hole count used to group them into waves.
+#[derive(Debug, Clone, Default)]
+struct ShiftLog {
+    shifts: Vec<LocalShift>,
+    counts: Vec<usize>,
+}
+
+impl ShiftLog {
+    /// Groups the logged shifts into waves by hole: wave `k` holds the
+    /// shifts at hole `k` in line order, up to the highest hole. Each
+    /// wave is allocated once, at its exact size.
+    fn waves(&mut self) -> Vec<LocalWave> {
+        let nwaves = self.shifts.iter().map(|s| s.hole + 1).max().unwrap_or(0);
+        self.counts.clear();
+        self.counts.resize(nwaves, 0);
+        for s in &self.shifts {
+            self.counts[s.hole] += 1;
+        }
+        let mut waves: Vec<LocalWave> = self
+            .counts
+            .iter()
+            .map(|&n| LocalWave {
+                shifts: Vec::with_capacity(n),
+            })
+            .collect();
+        for &s in &self.shifts {
+            waves[s.hole].shifts.push(s);
+        }
+        waves
+    }
 }
 
 impl PassScratch {
@@ -252,6 +294,7 @@ impl PassScratch {
     pub fn new() -> PassScratch {
         PassScratch {
             view: AtomGrid::new(1, 1).expect("1x1 placeholder grid"),
+            log: ShiftLog::default(),
         }
     }
 }
@@ -626,7 +669,8 @@ pub fn plan_col_windows(
 /// trailing empty waves are trimmed).
 ///
 /// `limits[line]` is the `(floor, limit)` hole window per line; lines
-/// beyond `limits.len()` use `(0, line_length)`.
+/// beyond `limits.len()` use `(0, line_length)`. The scan ends at the
+/// largest `limit` given, so no window reaches past it.
 pub fn run_pass(
     grid: &mut AtomGrid,
     axis: Axis,
@@ -651,59 +695,62 @@ pub fn run_pass_in(
     // columns via the scratch-held transposed view (the hardware "column
     // stream to row stream" trick).
     match axis {
-        Axis::Row => pass_over_lines(grid, axis, limits, enable),
+        Axis::Row => pass_over_lines(grid, axis, limits, enable, &mut scratch.log),
         Axis::Col => {
             grid.transpose_into(&mut scratch.view);
-            let pass = pass_over_lines(&mut scratch.view, axis, limits, enable);
+            let pass = pass_over_lines(&mut scratch.view, axis, limits, enable, &mut scratch.log);
             scratch.view.transpose_into(grid);
             pass
         }
     }
 }
 
-/// The single pipelined traversal of [`run_pass`], scanning and shifting
-/// the rows of `view` in place. Safe to apply in place because
-/// [`bitline::suffix_shift`] preserves the grid's zero-tail word
-/// invariant, so the mutated rows are exactly what the former
-/// copy-mutate-write-back sequence produced.
+/// The single pipelined traversal of [`run_pass`], shifting the rows of
+/// `view` in place.
+///
+/// Event-driven: rather than testing every scan position of every line,
+/// each line jumps from hole to hole with [`bitline::eligible_hole`] —
+/// the lowest empty position at or above the scan cursor with an atom
+/// above it, which is exactly the next position the traversal would
+/// fire at. Lines are independent, so walking them one after another in
+/// ascending order and grouping the logged shifts by hole leaves every
+/// wave's shifts in line order, as the position-major traversal emits
+/// them. The work is proportional to the shifts emitted, not to
+/// `lines x positions`.
 fn pass_over_lines(
     view: &mut AtomGrid,
     axis: Axis,
     limits: &[(usize, usize)],
     enable: Option<&[bool]>,
+    log: &mut ShiftLog,
 ) -> LocalPass {
     let (nlines, linelen) = (view.height(), view.width());
+    // No line scans beyond the widest window (or the line itself).
     let scan_end = limits
         .iter()
         .map(|&(_, hi)| hi)
         .max()
         .unwrap_or(linelen)
         .min(linelen);
-    let mut waves = Vec::new();
-    for k in 0..scan_end {
-        let mut wave = LocalWave::default();
-        for line in 0..nlines {
-            if let Some(en) = enable {
-                if !en.get(line).copied().unwrap_or(true) {
-                    continue;
-                }
-            }
-            let (floor, limit) = limits.get(line).copied().unwrap_or((0, linelen));
-            if k < floor || k >= limit.min(linelen) {
-                continue;
-            }
-            let bits = view.row_bits_mut(line);
-            if !bitline::get(bits, k) && bitline::highest_one(bits).is_some_and(|top| top > k) {
-                bitline::suffix_shift(bits, k, linelen);
-                wave.shifts.push(LocalShift { line, hole: k });
-            }
+    log.shifts.clear();
+    for line in 0..nlines {
+        if enable.is_some_and(|en| !en.get(line).copied().unwrap_or(true)) {
+            continue;
         }
-        waves.push(wave);
+        let (floor, limit) = limits.get(line).copied().unwrap_or((0, linelen));
+        let limit = limit.min(scan_end);
+        let bits = view.row_bits_mut(line);
+        let mut cursor = floor;
+        while let Some(hole) = bitline::eligible_hole(bits, cursor, limit) {
+            bitline::suffix_shift(bits, hole, linelen);
+            log.shifts.push(LocalShift { line, hole });
+            cursor = hole + 1;
+        }
     }
-    while waves.last().is_some_and(LocalWave::is_empty) {
-        waves.pop();
+    LocalPass {
+        axis,
+        waves: log.waves(),
     }
-    LocalPass { axis, waves }
 }
 
 #[cfg(test)]
@@ -711,6 +758,8 @@ mod tests {
     use super::*;
     use crate::geometry::Position;
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     /// Replays the waves of an outcome onto a fresh copy of the input and
     /// checks the result matches `final_grid` — the property the merge
@@ -742,6 +791,129 @@ mod tests {
             }
         }
         g
+    }
+
+    /// Reference pass: the position-major scan of every `k` in
+    /// `0..scan_end` over every line, on a per-site transposed view.
+    /// The event-driven [`run_pass_in`] must reproduce it exactly.
+    fn run_pass_reference(
+        grid: &mut AtomGrid,
+        axis: Axis,
+        limits: &[(usize, usize)],
+        enable: Option<&[bool]>,
+    ) -> LocalPass {
+        let transpose = |g: &AtomGrid| {
+            let mut out = AtomGrid::new(g.width(), g.height()).unwrap();
+            for p in g.occupied() {
+                out.set_unchecked(p.col, p.row, true);
+            }
+            out
+        };
+        let mut view = match axis {
+            Axis::Row => grid.clone(),
+            Axis::Col => transpose(grid),
+        };
+        let (nlines, linelen) = view.dims();
+        let scan_end = limits
+            .iter()
+            .map(|&(_, hi)| hi)
+            .max()
+            .unwrap_or(linelen)
+            .min(linelen);
+        let mut waves = Vec::new();
+        for k in 0..scan_end {
+            let mut wave = LocalWave::default();
+            for line in 0..nlines {
+                if let Some(en) = enable {
+                    if !en.get(line).copied().unwrap_or(true) {
+                        continue;
+                    }
+                }
+                let (floor, limit) = limits.get(line).copied().unwrap_or((0, linelen));
+                if k < floor || k >= limit.min(linelen) {
+                    continue;
+                }
+                let mut bits = view.row_bits(line).to_vec();
+                if !bitline::get(&bits, k) && bitline::highest_one(&bits).is_some_and(|t| t > k) {
+                    bitline::suffix_shift(&mut bits, k, linelen);
+                    view.set_row_bits(line, &bits);
+                    wave.shifts.push(LocalShift { line, hole: k });
+                }
+            }
+            waves.push(wave);
+        }
+        while waves.last().is_some_and(LocalWave::is_empty) {
+            waves.pop();
+        }
+        *grid = match axis {
+            Axis::Row => view,
+            Axis::Col => transpose(&view),
+        };
+        LocalPass { axis, waves }
+    }
+
+    /// An arbitrary pass input: grid (multi-word in either axis), axis,
+    /// `(floor, limit)` windows (too few, too many, `limit` beyond the
+    /// line, `floor >= limit`) and an optional, possibly short, enable
+    /// mask.
+    #[allow(clippy::type_complexity)]
+    fn arb_pass_input(
+    ) -> impl Strategy<Value = (AtomGrid, Axis, Vec<(usize, usize)>, Option<Vec<bool>>)> {
+        (
+            1usize..131,
+            1usize..131,
+            0.0f64..1.0,
+            any::<u64>(),
+            any::<bool>(),
+        )
+            .prop_map(|(h, w, fill, seed, rows)| {
+                let mut rng = seeded_rng(seed);
+                let grid = AtomGrid::random(h, w, fill, &mut rng);
+                let (axis, nlines, len) = if rows {
+                    (Axis::Row, h, w)
+                } else {
+                    (Axis::Col, w, h)
+                };
+                let nlimits = rng.gen_range(0..nlines + 4);
+                let limits = (0..nlimits)
+                    .map(|_| {
+                        let floor = if rng.gen_bool(0.5) {
+                            0
+                        } else {
+                            rng.gen_range(0..len + 6)
+                        };
+                        (floor, rng.gen_range(0..len + 6))
+                    })
+                    .collect();
+                let enable = rng.gen_bool(0.5).then(|| {
+                    let n = rng.gen_range(0..nlines + 4);
+                    (0..n).map(|_| rng.gen_bool(0.8)).collect()
+                });
+                (grid, axis, limits, enable)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn event_driven_pass_matches_position_scan(
+            (grid, axis, limits, enable) in arb_pass_input()
+        ) {
+            let mut expected_grid = grid.clone();
+            let expected =
+                run_pass_reference(&mut expected_grid, axis, &limits, enable.as_deref());
+            let mut got_grid = grid;
+            let got = run_pass_in(
+                &mut got_grid,
+                axis,
+                &limits,
+                enable.as_deref(),
+                &mut PassScratch::new(),
+            );
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(got_grid, expected_grid);
+        }
     }
 
     fn run(grid: &AtomGrid, th: usize, tw: usize, strategy: KernelStrategy) -> KernelOutcome {

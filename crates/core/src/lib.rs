@@ -121,7 +121,7 @@ pub use crate::error::Error;
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
-    pub use crate::aod::AodBatcher;
+    pub use crate::aod::{AodBatcher, BatchScratch};
     pub use crate::engine::{PlanContext, PlanEngine};
     pub use crate::error::Error;
     pub use crate::executor::{ExecutionReport, Executor};

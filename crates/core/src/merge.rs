@@ -11,8 +11,18 @@
 //! * merged line sets are split into cross-product-legal batches by the
 //!   [`AodBatcher`];
 //! * empty shifts are elided from the final schedule.
+//!
+//! The merge keeps a simulated global grid in two orientations: as is
+//! for row passes and transposed for column passes, so every pass reads
+//! and shifts its lines as grid rows. Only the current pass's
+//! orientation is kept up to date; one transpose brings the other up to
+//! date when the pass axis changes. A wave's movers (global line plus
+//! the atoms beyond its hole) go into one flat mover buffer, one grid
+//! row's words per line, that every wave reuses, as do the batcher's
+//! buffers and the line-shift scratch; the only allocations per move
+//! are the [`ParallelMove`]'s own row and column lists.
 
-use crate::aod::AodBatcher;
+use crate::aod::{AodBatcher, Batch, BatchScratch};
 use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Axis, Direction, QuadrantId};
@@ -62,10 +72,16 @@ pub fn merge_outcomes(
     outcomes: &[KernelOutcome; 4],
     config: &MergeConfig,
 ) -> Result<MergeOutput, Error> {
-    let mut working = grid.clone();
-    let mut working_t = grid.transpose();
-    let mut schedule = Schedule::new(grid.height(), grid.width());
-    let batcher = AodBatcher::new();
+    let mut state = MergeState {
+        working: grid.clone(),
+        working_t: AtomGrid::new(grid.width(), grid.height())?,
+        schedule: Schedule::new(grid.height(), grid.width()),
+        batcher: AodBatcher::new(),
+        batches: BatchScratch::default(),
+        movers: Movers::default(),
+        moved: Vec::new(),
+        shifted: Vec::new(),
+    };
     // Precomputed suffix-range masks per hole position (hot path).
     let h_masks = SuffixMasks::build(map.quadrant_width(), bitline::words_for(grid.width()));
     let v_masks = SuffixMasks::build(map.quadrant_height(), bitline::words_for(grid.height()));
@@ -73,6 +89,17 @@ pub fn merge_outcomes(
     let npasses = outcomes.iter().map(|o| o.passes.len()).max().unwrap_or(0);
     for p in 0..npasses {
         let axis = if p % 2 == 0 { Axis::Row } else { Axis::Col };
+        let masks = match axis {
+            Axis::Row => &h_masks,
+            Axis::Col => &v_masks,
+        };
+        // A pass reads and shifts only its own orientation; bring it up
+        // to date with the previous pass's moves in one transpose.
+        match axis {
+            Axis::Row if p > 0 => state.working_t.transpose_into(&mut state.working),
+            Axis::Col => state.working.transpose_into(&mut state.working_t),
+            Axis::Row => {}
+        }
         let nwaves = outcomes
             .iter()
             .map(|o| o.passes.get(p).map_or(0, |pass| pass.waves.len()))
@@ -91,245 +118,217 @@ pub fn merge_outcomes(
             };
             for (direction, members) in groups {
                 if config.merge_quadrants {
-                    let movers = collect_movers(
-                        &working, &working_t, map, outcomes, &members, p, w, axis, &h_masks,
-                        &v_masks,
-                    );
-                    emit_batches(
-                        &mut working,
-                        &mut working_t,
-                        &mut schedule,
-                        &batcher,
-                        axis,
-                        direction,
-                        &movers,
-                    )?;
+                    state.collect_movers(map, outcomes, &members, p, w, axis, masks);
+                    state.emit_batches(axis, direction)?;
                 } else {
                     for q in members {
-                        let movers = collect_movers(
-                            &working,
-                            &working_t,
-                            map,
-                            outcomes,
-                            &[q],
-                            p,
-                            w,
-                            axis,
-                            &h_masks,
-                            &v_masks,
-                        );
-                        emit_batches(
-                            &mut working,
-                            &mut working_t,
-                            &mut schedule,
-                            &batcher,
-                            axis,
-                            direction,
-                            &movers,
-                        )?;
+                        state.collect_movers(map, outcomes, &[q], p, w, axis, masks);
+                        state.emit_batches(axis, direction)?;
                     }
                 }
             }
         }
     }
 
+    if npasses % 2 == 0 && npasses > 0 {
+        // The last pass was a column pass.
+        state.working_t.transpose_into(&mut state.working);
+    }
     Ok(MergeOutput {
-        schedule,
-        final_grid: working,
+        schedule: state.schedule,
+        final_grid: state.working,
     })
 }
 
 /// Precomputed "canonical positions > hole" range masks for each hole
-/// position, for both quadrant orientations along one axis.
+/// position, for both quadrant orientations along one axis, packed flat
+/// with `words` words per hole.
 struct SuffixMasks {
+    words: usize,
     /// Toward-low quadrants (west / north): global range `[0, half-1-hole)`.
-    low: Vec<Vec<u64>>,
+    low: Vec<u64>,
     /// Toward-high quadrants (east / south): global range `(half+hole, 2*half)`.
-    high: Vec<Vec<u64>>,
+    high: Vec<u64>,
 }
 
 impl SuffixMasks {
     fn build(half: usize, words: usize) -> Self {
         SuffixMasks {
+            words,
             low: (0..half)
-                .map(|hole| bitline::range_mask(words, 0, half - 1 - hole))
+                .flat_map(|hole| bitline::range_mask(words, 0, half - 1 - hole))
                 .collect(),
             high: (0..half)
-                .map(|hole| bitline::range_mask(words, half + hole + 1, 2 * half))
+                .flat_map(|hole| bitline::range_mask(words, half + hole + 1, 2 * half))
                 .collect(),
         }
     }
+
+    /// The range mask of `hole` for a quadrant on the low (`true`) or
+    /// high side of the axis.
+    fn get(&self, low: bool, hole: usize) -> &[u64] {
+        let table = if low { &self.low } else { &self.high };
+        &table[hole * self.words..(hole + 1) * self.words]
+    }
 }
 
-/// Gathers `(global_line, mover_mask)` pairs for wave `w` of pass `p`
-/// restricted to `members`.
-#[allow(clippy::too_many_arguments)]
-fn collect_movers(
-    working: &AtomGrid,
-    working_t: &AtomGrid,
-    map: &QuadrantMap,
-    outcomes: &[KernelOutcome; 4],
-    members: &[QuadrantId],
-    p: usize,
-    w: usize,
-    axis: Axis,
-    h_masks: &SuffixMasks,
-    v_masks: &SuffixMasks,
-) -> Vec<(usize, Vec<u64>)> {
-    let mut movers = Vec::new();
-    for &q in members {
-        let idx = QuadrantId::ALL.iter().position(|&x| x == q).expect("valid");
-        let Some(pass) = outcomes[idx].passes.get(p) else {
-            continue;
-        };
-        debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-        let Some(wave) = pass.waves.get(w) else {
-            continue;
-        };
-        for shift in &wave.shifts {
-            let (global_line, occ, table) = match axis {
-                Axis::Row => (
-                    map.global_row(q, shift.line),
-                    working.row_bits(map.global_row(q, shift.line)),
-                    if q.is_west() {
-                        &h_masks.low
-                    } else {
-                        &h_masks.high
-                    },
-                ),
-                Axis::Col => (
-                    map.global_col(q, shift.line),
-                    working_t.row_bits(map.global_col(q, shift.line)),
-                    if q.is_north() {
-                        &v_masks.low
-                    } else {
-                        &v_masks.high
-                    },
-                ),
+/// The movers of one wave: global lines and their mover masks, packed
+/// flat with one grid row's word count per line. Reused across waves.
+#[derive(Default)]
+struct Movers {
+    lines: Vec<usize>,
+    masks: Vec<u64>,
+}
+
+/// The merge's working state: the simulated global grid in both
+/// orientations, the schedule so far, and the buffers every wave reuses.
+/// Only the current pass's orientation is up to date.
+struct MergeState {
+    /// The grid, current during row passes.
+    working: AtomGrid,
+    /// The grid transposed, current during column passes, which read
+    /// and shift columns as rows.
+    working_t: AtomGrid,
+    schedule: Schedule,
+    batcher: AodBatcher,
+    batches: BatchScratch,
+    movers: Movers,
+    /// One line's moving atoms, and the same shifted one site.
+    moved: Vec<u64>,
+    shifted: Vec<u64>,
+}
+
+impl MergeState {
+    /// Gathers the movers of wave `w` of pass `p`, restricted to
+    /// `members`: for each shift, the atoms of its global line beyond the
+    /// hole. Lines with no such atom are dropped.
+    #[allow(clippy::too_many_arguments)]
+    fn collect_movers(
+        &mut self,
+        map: &QuadrantMap,
+        outcomes: &[KernelOutcome; 4],
+        members: &[QuadrantId],
+        p: usize,
+        w: usize,
+        axis: Axis,
+        masks: &SuffixMasks,
+    ) {
+        let Movers {
+            lines,
+            masks: movers,
+        } = &mut self.movers;
+        lines.clear();
+        movers.clear();
+        for &q in members {
+            let idx = QuadrantId::ALL.iter().position(|&x| x == q).expect("valid");
+            let Some(pass) = outcomes[idx].passes.get(p) else {
+                continue;
             };
-            let range = &table[shift.hole];
-            let mask: Vec<u64> = occ.iter().zip(range.iter()).map(|(o, m)| o & m).collect();
-            if bitline::count_ones(&mask) > 0 {
-                movers.push((global_line, mask));
+            debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
+            let Some(wave) = pass.waves.get(w) else {
+                continue;
+            };
+            for shift in &wave.shifts {
+                let (global_line, occ, low) = match axis {
+                    Axis::Row => {
+                        let row = map.global_row(q, shift.line);
+                        (row, self.working.row_bits(row), q.is_west())
+                    }
+                    Axis::Col => {
+                        let col = map.global_col(q, shift.line);
+                        (col, self.working_t.row_bits(col), q.is_north())
+                    }
+                };
+                let range = masks.get(low, shift.hole);
+                let start = movers.len();
+                movers.extend(occ.iter().zip(range).map(|(o, m)| o & m));
+                if movers[start..].iter().any(|&m| m != 0) {
+                    lines.push(global_line);
+                } else {
+                    movers.truncate(start);
+                }
             }
         }
     }
-    movers
-}
 
-/// Batches the movers and emits moves into the schedule, updating both
-/// grid representations with direct bit-level application.
-///
-/// Legality holds by construction — mover masks are sampled from the
-/// live working grid and the [`AodBatcher`] guarantees the cross product
-/// traps exactly the movers — so the executor is not re-run per move
-/// here (the test suite executes every merged schedule through the
-/// validating [`Executor`](crate::executor::Executor) instead). Debug
-/// builds still assert collision-freedom per line.
-#[allow(clippy::too_many_arguments)]
-fn emit_batches(
-    working: &mut AtomGrid,
-    working_t: &mut AtomGrid,
-    schedule: &mut Schedule,
-    batcher: &AodBatcher,
-    axis: Axis,
-    direction: Direction,
-    movers: &[(usize, Vec<u64>)],
-) -> Result<(), Error> {
-    if movers.is_empty() {
-        return Ok(());
-    }
-    // Occupancy per line along the pass axis.
-    let occ_grid = match axis {
-        Axis::Row => &*working,
-        Axis::Col => &*working_t,
-    };
-    let occ: Vec<&[u64]> = (0..occ_grid.height())
-        .map(|l| occ_grid.row_bits(l))
-        .collect();
-    let width = occ_grid.width();
-    let (dr, dc) = direction.delta();
-    // Position delta along the pass axis: east/south increase indices.
-    let sign = match direction {
-        Direction::East | Direction::South => 1isize,
-        Direction::West | Direction::North => -1,
-    };
-
-    let batches = batcher.batch(&occ, movers);
-    for batch in batches {
-        let positions = batch.positions(width);
-        if positions.is_empty() {
-            continue;
+    /// Batches the collected movers and emits moves into the schedule,
+    /// applying each to the pass's grid orientation in place.
+    ///
+    /// Legality holds by construction — mover masks are sampled from the
+    /// live working grid and the [`AodBatcher`] guarantees the cross
+    /// product traps exactly the movers — so the executor is not re-run
+    /// per move here (the test suite executes every merged schedule
+    /// through the validating [`Executor`](crate::executor::Executor)
+    /// instead). Debug builds still assert collision-freedom per line.
+    fn emit_batches(&mut self, axis: Axis, direction: Direction) -> Result<(), Error> {
+        if self.movers.lines.is_empty() {
+            return Ok(());
         }
-        let (rows, cols) = match axis {
-            Axis::Row => (batch.lines.clone(), positions),
-            Axis::Col => (positions, batch.lines.clone()),
+        // Occupancy per line along the pass axis.
+        let occ = match axis {
+            Axis::Row => &self.working,
+            Axis::Col => &self.working_t,
         };
-        let mv = ParallelMove::new(rows, cols, dr, dc)?;
-        apply_batch(
-            working,
-            working_t,
-            axis,
-            sign,
-            &batch.lines,
-            &batch.union_mask,
+        let width = occ.width();
+        let (dr, dc) = direction.delta();
+        let batches = self.batcher.batch(
+            occ,
+            &self.movers.lines,
+            &self.movers.masks,
+            &mut self.batches,
         );
-        schedule.push(mv);
+        for batch in batches {
+            let positions = batch.positions(width);
+            let (rows, cols) = match axis {
+                Axis::Row => (batch.lines.clone(), positions),
+                Axis::Col => (positions, batch.lines.clone()),
+            };
+            self.schedule.push(ParallelMove::new(rows, cols, dr, dc)?);
+            let lines = match axis {
+                Axis::Row => &mut self.working,
+                Axis::Col => &mut self.working_t,
+            };
+            apply_batch(lines, direction, batch, &mut self.moved, &mut self.shifted);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Applies one batch to the primary and transposed grids.
+/// Applies one batch in place to `lines`, the grid whose rows are the
+/// pass's lines. `moved` and `shifted` are line-sized scratch.
 fn apply_batch(
-    working: &mut AtomGrid,
-    working_t: &mut AtomGrid,
-    axis: Axis,
-    sign: isize,
-    lines: &[usize],
-    union: &[u64],
+    lines: &mut AtomGrid,
+    direction: Direction,
+    batch: &Batch,
+    moved: &mut Vec<u64>,
+    shifted: &mut Vec<u64>,
 ) {
-    let (primary, mirror) = match axis {
-        Axis::Row => (&mut *working, &mut *working_t),
-        Axis::Col => (&mut *working_t, &mut *working),
-    };
-    let width = primary.width();
-    for &line in lines {
-        let bits = primary.row_bits(line);
-        let movers: Vec<u64> = bits.iter().zip(union.iter()).map(|(b, u)| b & u).collect();
-        let shifted = if sign > 0 {
-            bitline::shift_up_one(&movers, width)
+    let width = lines.width();
+    // East and south moves increase positions along the line.
+    let up = matches!(direction, Direction::East | Direction::South);
+    for &line in &batch.lines {
+        let bits = lines.row_bits_mut(line);
+        moved.clear();
+        moved.extend(bits.iter().zip(&batch.union_mask).map(|(b, u)| b & u));
+        shifted.resize(moved.len(), 0);
+        if up {
+            bitline::shift_up_one_into(moved, width, shifted);
         } else {
-            bitline::shift_down_one(&movers)
-        };
-        let stay: Vec<u64> = bits
-            .iter()
-            .zip(movers.iter())
-            .map(|(b, m)| b & !m)
-            .collect();
+            bitline::shift_down_one_into(moved, shifted);
+        }
         debug_assert!(
-            stay.iter().zip(shifted.iter()).all(|(s, m)| s & m == 0),
+            bits.iter()
+                .zip(moved.iter().zip(shifted.iter()))
+                .all(|(b, (m, s))| b & !m & s == 0),
             "merge emitted a colliding move"
         );
         debug_assert_eq!(
-            bitline::count_ones(&movers),
-            bitline::count_ones(&shifted),
+            bitline::count_ones(moved),
+            bitline::count_ones(shifted),
             "merge pushed an atom out of bounds"
         );
-        let new_bits: Vec<u64> = stay
-            .iter()
-            .zip(shifted.iter())
-            .map(|(s, m)| s | m)
-            .collect();
-        primary.set_row_bits(line, &new_bits);
-        // Mirror each moved atom on the orthogonal representation: all
-        // clears before all sets, so chains of adjacent movers do not
-        // erase each other's destinations.
-        let moved = bitline::ones(&movers, width);
-        for &pos in &moved {
-            mirror.set_unchecked(pos, line, false);
-        }
-        for &pos in &moved {
-            mirror.set_unchecked(pos.wrapping_add_signed(sign), line, true);
+        for (b, (m, s)) in bits.iter_mut().zip(moved.iter().zip(shifted.iter())) {
+            *b = (*b & !m) | s;
         }
     }
 }

@@ -10,7 +10,7 @@
 //! machinery: it serves as the §III-A reference, as a differential-testing
 //! oracle for QRM, and as an additional CPU comparison point.
 
-use crate::aod::AodBatcher;
+use crate::aod::{AodBatcher, BatchScratch};
 use crate::bitline;
 use crate::error::Error;
 use crate::executor::Executor;
@@ -78,6 +78,7 @@ impl Planner for TypicalScheduler {
             schedule: Schedule::new(grid.height(), grid.width()),
             executor: Executor::new(),
             batcher: AodBatcher::new(),
+            batches: BatchScratch::default(),
         };
 
         let mut iterations = 0;
@@ -109,6 +110,7 @@ struct Engine {
     schedule: Schedule,
     executor: Executor,
     batcher: AodBatcher,
+    batches: BatchScratch,
 }
 
 impl Engine {
@@ -144,7 +146,7 @@ impl Engine {
     fn fill_column_from(&mut self, c: usize, dir: Direction) -> Result<(), Error> {
         let (h, w) = self.working.dims();
         loop {
-            let mut movers: Vec<(usize, Vec<u64>)> = Vec::new();
+            let (mut lines, mut masks) = (Vec::new(), Vec::new());
             for r in 0..h {
                 if self.working.get_unchecked(r, c) {
                     continue;
@@ -156,16 +158,15 @@ impl Engine {
                     Direction::West => bitline::range_mask(occ.len(), c + 1, w),
                     _ => unreachable!("horizontal fill uses east/west"),
                 };
-                let movers_mask: Vec<u64> =
-                    mask.iter().zip(occ.iter()).map(|(m, o)| m & o).collect();
-                if bitline::count_ones(&movers_mask) > 0 {
-                    movers.push((r, movers_mask));
+                if mask.iter().zip(occ).any(|(m, o)| m & o != 0) {
+                    lines.push(r);
+                    masks.extend(mask.iter().zip(occ).map(|(m, o)| m & o));
                 }
             }
-            if movers.is_empty() {
+            if lines.is_empty() {
                 return Ok(());
             }
-            self.emit_horizontal(&movers, dir)?;
+            self.emit_horizontal(&lines, &masks, dir)?;
         }
     }
 
@@ -175,7 +176,7 @@ impl Engine {
         let h = self.working.dims().0;
         loop {
             let wt = self.working.transpose();
-            let mut movers: Vec<(usize, Vec<u64>)> = Vec::new();
+            let (mut lines, mut masks) = (Vec::new(), Vec::new());
             for c in target.col..target.col_end() {
                 if self.working.get_unchecked(r, c) {
                     continue;
@@ -186,33 +187,33 @@ impl Engine {
                     Direction::North => bitline::range_mask(occ.len(), r + 1, h),
                     _ => unreachable!("vertical fill uses north/south"),
                 };
-                let movers_mask: Vec<u64> =
-                    mask.iter().zip(occ.iter()).map(|(m, o)| m & o).collect();
-                if bitline::count_ones(&movers_mask) > 0 {
-                    movers.push((c, movers_mask));
+                if mask.iter().zip(occ).any(|(m, o)| m & o != 0) {
+                    lines.push(c);
+                    masks.extend(mask.iter().zip(occ).map(|(m, o)| m & o));
                 }
             }
-            if movers.is_empty() {
+            if lines.is_empty() {
                 return Ok(());
             }
-            self.emit_vertical(&movers, dir, &wt)?;
+            self.emit_vertical(&lines, &masks, dir, &wt)?;
         }
     }
 
     fn emit_horizontal(
         &mut self,
-        movers: &[(usize, Vec<u64>)],
+        lines: &[usize],
+        masks: &[u64],
         dir: Direction,
     ) -> Result<(), Error> {
-        let occ: Vec<&[u64]> = (0..self.working.height())
-            .map(|l| self.working.row_bits(l))
-            .collect();
         let (dr, dc) = dir.delta();
-        let batches = self.batcher.batch(&occ, movers);
         let width = self.working.width();
-        for batch in batches {
-            let cols = batch.positions(width);
-            let mv = ParallelMove::new(batch.lines, cols, dr, dc)?;
+        let moves = self
+            .batcher
+            .batch(&self.working, lines, masks, &mut self.batches)
+            .iter()
+            .map(|batch| ParallelMove::new(batch.lines.clone(), batch.positions(width), dr, dc))
+            .collect::<Result<Vec<_>, _>>()?;
+        for mv in moves {
             self.apply(mv)?;
         }
         Ok(())
@@ -220,17 +221,20 @@ impl Engine {
 
     fn emit_vertical(
         &mut self,
-        movers: &[(usize, Vec<u64>)],
+        lines: &[usize],
+        masks: &[u64],
         dir: Direction,
         wt: &AtomGrid,
     ) -> Result<(), Error> {
-        let occ: Vec<&[u64]> = (0..wt.height()).map(|l| wt.row_bits(l)).collect();
         let (dr, dc) = dir.delta();
-        let batches = self.batcher.batch(&occ, movers);
         let height = wt.width();
-        for batch in batches {
-            let rows = batch.positions(height);
-            let mv = ParallelMove::new(rows, batch.lines, dr, dc)?;
+        let moves = self
+            .batcher
+            .batch(wt, lines, masks, &mut self.batches)
+            .iter()
+            .map(|batch| ParallelMove::new(batch.positions(height), batch.lines.clone(), dr, dc))
+            .collect::<Result<Vec<_>, _>>()?;
+        for mv in moves {
             self.apply(mv)?;
         }
         Ok(())

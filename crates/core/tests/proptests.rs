@@ -115,8 +115,10 @@ proptest! {
         // down(up(x)) == x when no bit falls off the top
         let top_clear = bitline::highest_one(&line).is_none_or(|t| t + 1 < width);
         if top_clear {
-            let up = bitline::shift_up_one(&line, width);
-            let back = bitline::shift_down_one(&up);
+            let mut up = vec![0u64; line.len()];
+            bitline::shift_up_one_into(&line, width, &mut up);
+            let mut back = vec![0u64; line.len()];
+            bitline::shift_down_one_into(&up, &mut back);
             prop_assert_eq!(back, line);
         }
     }
