@@ -1,7 +1,8 @@
 //! Microbenchmarks of the kernel primitives: bit-line operations, a
 //! single kernel pass, the cycle-accurate shift-unit simulation at the
-//! headline quadrant size (Qw = 25), and the cross-quadrant merge of one
-//! 50x50 paper instance.
+//! headline quadrant size (Qw = 25), the cross-quadrant merge of one
+//! 50x50 paper instance, and the synthetic imaging of that instance
+//! (frame rendering and atom detection, default imaging regime).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_core::bitline;
@@ -13,6 +14,7 @@ use qrm_core::loading::seeded_rng;
 use qrm_core::merge::{merge_outcomes, MergeConfig};
 use qrm_core::scheduler::QrmConfig;
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
+use qrm_vision::prelude::{render, Detector, ImagingConfig, TrapLayout};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
@@ -68,6 +70,18 @@ fn bench_kernels(c: &mut Criterion) {
         .map(|q| kernel.run(q).expect("kernel run"));
     group.bench_function("merge_paper_50", |b| {
         b.iter(|| merge_outcomes(&grid, &work.map, &outcomes, &MergeConfig::default()))
+    });
+
+    // one camera frame of the same instance, at the pipeline's geometry
+    let layout = TrapLayout::new(50, 50, 6.0, 4.0);
+    let imaging = ImagingConfig::default();
+    let mut frame_rng = seeded_rng(2);
+    group.bench_function("vision_render_50", |b| {
+        b.iter(|| render(&grid, &layout, &imaging, &mut frame_rng))
+    });
+    let frame = render(&grid, &layout, &imaging, &mut seeded_rng(2));
+    group.bench_function("vision_detect_50", |b| {
+        b.iter(|| Detector::default().detect(&frame, &layout))
     });
 
     group.finish();

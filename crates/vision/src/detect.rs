@@ -41,17 +41,18 @@ impl DetectionReport {
                 right: truth.dims(),
             });
         }
-        let (mut tp, mut fp, mut fal_n, mut tn) = (0, 0, 0, 0);
-        for r in 0..truth.dims().0 {
-            for c in 0..truth.dims().1 {
-                match (self.grid.get_unchecked(r, c), truth.get_unchecked(r, c)) {
-                    (true, true) => tp += 1,
-                    (true, false) => fp += 1,
-                    (false, true) => fal_n += 1,
-                    (false, false) => tn += 1,
-                }
+        let (rows, cols) = truth.dims();
+        let (mut tp, mut fp, mut fal_n) = (0, 0, 0);
+        for r in 0..rows {
+            // Bits above `cols` are zero in both grids, so whole words
+            // count exactly.
+            for (&got, &want) in self.grid.row_bits(r).iter().zip(truth.row_bits(r)) {
+                tp += (got & want).count_ones() as usize;
+                fp += (got & !want).count_ones() as usize;
+                fal_n += (!got & want).count_ones() as usize;
             }
         }
+        let tn = rows * cols - tp - fp - fal_n;
         Ok((tp, fp, fal_n, tn))
     }
 
@@ -98,26 +99,28 @@ impl Detector {
         layout: &TrapLayout,
     ) -> Result<DetectionReport, Error> {
         let (rows, cols) = (layout.rows(), layout.cols());
-        // Background estimate: median of ROI-corner samples is overkill;
-        // a global per-pixel mean over non-ROI pixels suffices at these
-        // SNRs. Use the frame's lower percentile as a robust estimate.
-        let mut sorted: Vec<f32> = frame.pixels().to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in frames"));
-        let background = sorted[sorted.len() / 4] as f64;
+        // A global background level suffices at these SNRs: the frame's
+        // lower-quartile pixel, robust to the bright spots.
+        let background = background_level(frame.pixels());
 
         let r = self.roi_radius_px as isize;
         let roi_area = ((2 * r + 1) * (2 * r + 1)) as f64;
+        let (h, w) = (frame.height() as isize, frame.width() as isize);
         let mut signals = Vec::with_capacity(rows * cols);
         for row in 0..rows {
             for col in 0..cols {
                 let (cy, cx) = layout.center(row, col);
                 let (iy, ix) = (cy.round() as isize, cx.round() as isize);
+                // The ROI clipped to the frame; pixels outside count zero.
+                let (y0, y1) = ((iy - r).max(0), (iy + r).min(h - 1));
+                let (x0, x1) = ((ix - r).max(0), (ix + r).min(w - 1));
                 let mut sum = 0.0f64;
-                for dy in -r..=r {
-                    for dx in -r..=r {
-                        let (y, x) = (iy + dy, ix + dx);
-                        if y >= 0 && x >= 0 {
-                            sum += frame.at(y as usize, x as usize) as f64;
+                if x0 <= x1 {
+                    for y in y0..=y1 {
+                        let start = (y * w) as usize;
+                        let roi_row = &frame.pixels()[start + x0 as usize..=start + x1 as usize];
+                        for &p in roi_row {
+                            sum += p as f64;
                         }
                     }
                 }
@@ -142,6 +145,23 @@ impl Detector {
             threshold,
         })
     }
+}
+
+/// The lower-quartile pixel value — element `len / 4` of the pixels in
+/// ascending order — found by selection rather than a full sort. Both
+/// orders agree on which value sits at that index, so the level is the
+/// one a sorted copy would give.
+///
+/// # Panics
+///
+/// Panics on an empty frame or a NaN pixel.
+fn background_level(pixels: &[f32]) -> f64 {
+    let mut scratch = pixels.to_vec();
+    let quartile = scratch.len() / 4;
+    let (_, &mut level, _) = scratch.select_nth_unstable_by(quartile, |a, b| {
+        a.partial_cmp(b).expect("no NaNs in frames")
+    });
+    level as f64
 }
 
 /// Otsu's threshold over a 256-bin histogram of the signals.
@@ -202,6 +222,7 @@ mod tests {
     use super::*;
     use crate::image::{render, ImagingConfig};
     use qrm_core::loading::seeded_rng;
+    use rand::Rng;
 
     #[test]
     fn perfect_recovery_at_high_snr() {
@@ -262,6 +283,73 @@ mod tests {
         let report = Detector::default().detect(&frame, &layout).unwrap();
         let other = AtomGrid::new(5, 5).unwrap();
         assert!(report.confusion(&other).is_err());
+    }
+
+    /// The sorted-copy percentile `background_level` replaced.
+    fn background_level_reference(pixels: &[f32]) -> f64 {
+        let mut sorted = pixels.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in frames"));
+        sorted[sorted.len() / 4] as f64
+    }
+
+    #[test]
+    fn background_level_matches_sorted_percentile() {
+        let mut rng = seeded_rng(16);
+        // Rendered frames, including a sparse one dominated by noise.
+        for (size, fill, config) in [
+            (12, 0.5, ImagingConfig::default()),
+            (20, 0.05, ImagingConfig::low_snr()),
+            (30, 0.9, ImagingConfig::default()),
+        ] {
+            let truth = AtomGrid::random(size, size, fill, &mut rng);
+            let layout = TrapLayout::new(size, size, 6.0, 4.0);
+            let frame = render(&truth, &layout, &config, &mut rng);
+            let (got, want) = (
+                background_level(frame.pixels()),
+                background_level_reference(frame.pixels()),
+            );
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        // Heavily tied frames: a handful of distinct levels (the clamp
+        // at zero makes real frames tie the same way), every length
+        // from 1 up so the quartile index hits every residue.
+        for len in 1..300 {
+            for levels in [1u64, 2, 3, 7] {
+                let pixels: Vec<f32> = (0..len)
+                    .map(|_| (rng.gen_range(0..levels) as f32) * 0.5)
+                    .collect();
+                assert_eq!(
+                    background_level(&pixels).to_bits(),
+                    background_level_reference(&pixels).to_bits(),
+                    "len {len}, {levels} levels"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn confusion_matches_per_trap_count() {
+        let mut rng = seeded_rng(17);
+        for (rows, cols) in [(1, 1), (3, 63), (5, 64), (4, 65), (7, 130), (50, 50)] {
+            let truth = AtomGrid::random(rows, cols, 0.5, &mut rng);
+            let report = DetectionReport {
+                grid: AtomGrid::random(rows, cols, 0.5, &mut rng),
+                signals: Vec::new(),
+                threshold: 0.0,
+            };
+            let mut want = (0, 0, 0, 0);
+            for r in 0..rows {
+                for c in 0..cols {
+                    match (report.grid.get_unchecked(r, c), truth.get_unchecked(r, c)) {
+                        (true, true) => want.0 += 1,
+                        (true, false) => want.1 += 1,
+                        (false, true) => want.2 += 1,
+                        (false, false) => want.3 += 1,
+                    }
+                }
+            }
+            assert_eq!(report.confusion(&truth).unwrap(), want, "{rows}x{cols}");
+        }
     }
 
     #[test]

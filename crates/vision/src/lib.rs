@@ -13,6 +13,29 @@
 //! [`Detector`](detect::Detector) recovers the occupancy with per-trap
 //! region-of-interest photometry and (optionally automatic) thresholding.
 //!
+//! ## The RNG stream is part of the contract
+//!
+//! A shot's frame is a pure function of the truth grid, the layout, the
+//! imaging parameters and the generator's state, and so is the state the
+//! generator is left in — which every later draw of the shot (transport
+//! loss, the next round's frame) depends on. Service reports, known-answer
+//! hashes and the equivalence suites all pin this, so the hot path is
+//! optimised only in ways that keep every pixel bit and every draw:
+//!
+//! * [`render`](image::render) evaluates the Gaussian PSF once per
+//!   distinct sub-pixel centre offset into a stamp (one stamp per frame
+//!   for whole-pitch layouts) holding exactly the per-pixel weights, and
+//!   adds it through row slices clipped once per spot;
+//! * [`Poisson`](noise::Poisson) sets up Knuth's `exp(-λ)` bound once per
+//!   frame instead of once per pixel;
+//! * [`Detector`](detect::Detector) finds the background quartile by
+//!   selection instead of sorting the frame.
+//!
+//! What remains per frame is the noise itself, one Poisson and one
+//! Gaussian variate per pixel. Making that cheaper means drawing
+//! differently, which changes every frame: a declared change of the
+//! imaging model, not an optimisation.
+//!
 //! ```
 //! use qrm_vision::prelude::*;
 //! use qrm_core::grid::AtomGrid;

@@ -12,6 +12,17 @@
 //! `(dr, dc)`; every word of the predicted grid; `filled`; `iterations`.
 //! Accelerator cases hash only the schedule of `QrmAccelerator::run`.
 //!
+//! Two report-level families pin the closed loop around the planners:
+//!
+//! * `imaging/…` hashes a rendered frame's pixel bits, the detected
+//!   grid's words, the threshold and signal bits, and the next word of
+//!   the RNG stream after the frame — so a rewrite of `render` or
+//!   `Detector::detect` that changes one pixel, one decision or the
+//!   number of random draws fails here.
+//! * `service/…` hashes the JSON encodings of a `PlanService::submit`
+//!   response's `reports` and `trace` (never its `wall_us`) for the
+//!   `qrm` and `fpga` planners under every `Scenario` variant.
+//!
 //! The fixture `tests/fixtures/known_answers.txt` was produced by
 //! [`regenerate_known_answers`] and frozen. Regenerating it is a
 //! deliberate change of planner output and must be declared as such in
@@ -22,6 +33,8 @@ use std::collections::BTreeMap;
 use atom_rearrange::prelude::*;
 use qrm_bench::{paper_instance, planner_matrix};
 use qrm_core::scheduler::Plan;
+use qrm_server::Scenario;
+use rand::RngCore;
 
 const FIXTURE: &str = include_str!("fixtures/known_answers.txt");
 
@@ -166,6 +179,104 @@ fn accelerator_cases() -> Cases {
     cases
 }
 
+/// Imaging regimes crossed with layouts: the pipeline's own geometry
+/// (pitch 6, margin 4) at two sizes, a fractional pitch and margin on a
+/// non-square array, and a zero margin whose PSF windows clip the frame
+/// edge.
+fn imaging_cases() -> Cases {
+    let regimes = [
+        ("default", ImagingConfig::default()),
+        ("low_snr", ImagingConfig::low_snr()),
+    ];
+    let layouts = [
+        ("12", TrapLayout::new(12, 12, 6.0, 4.0), 4u64),
+        ("50", TrapLayout::new(50, 50, 6.0, 4.0), 2),
+        ("frac", TrapLayout::new(10, 14, 6.5, 4.25), 4),
+        ("edge", TrapLayout::new(12, 12, 6.0, 0.0), 4),
+    ];
+    let mut cases = Cases::new();
+    for (regime, config) in regimes {
+        for (shape, layout, seeds) in layouts {
+            for seed in 0..seeds {
+                let mut rng = qrm_core::loading::seeded_rng(0x1a6e + seed);
+                let truth = AtomGrid::random(layout.rows(), layout.cols(), 0.55, &mut rng);
+                let frame = render(&truth, &layout, &config, &mut rng);
+                let report = Detector::default().detect(&frame, &layout).expect("detect");
+                let mut h = Fnv64::new();
+                h.usize(frame.height());
+                h.usize(frame.width());
+                for &px in frame.pixels() {
+                    h.bytes(&px.to_bits().to_le_bytes());
+                }
+                h.grid(&report.grid);
+                h.u64(report.threshold.to_bits());
+                report.signals.iter().for_each(|s| h.u64(s.to_bits()));
+                h.u64(rng.next_u64());
+                cases.insert(format!("imaging/{regime}/{shape}/{seed}"), h.0);
+            }
+        }
+    }
+    cases
+}
+
+/// One representative of every [`Scenario`] variant.
+fn scenarios() -> [(&'static str, Scenario); 5] {
+    [
+        ("uniform", Scenario::UniformFill),
+        (
+            "defects",
+            Scenario::DefectMap {
+                dead_fraction: 0.15,
+            },
+        ),
+        ("loss", Scenario::AtomLoss { loss_prob: 0.08 }),
+        ("zones", Scenario::Zones { rows: 2, cols: 2 }),
+        (
+            "correlated",
+            Scenario::CorrelatedFill {
+                grain: 2,
+                flip_prob: 0.1,
+            },
+        ),
+    ]
+}
+
+/// Traced `PlanService::submit` responses for the `qrm` and `fpga`
+/// planners: every scenario, three seeds, 16x16 arrays, two shots.
+/// Each case hashes the JSON encodings of `reports` and `trace`.
+fn service_cases() -> Cases {
+    let base = PipelineConfig {
+        workers: 2,
+        loss_prob: 0.01,
+        max_rounds: 2,
+        ..PipelineConfig::default()
+    };
+    let planners = [
+        ("qrm", PlannerChoice::Software(QrmConfig::paper())),
+        ("fpga", PlannerChoice::Fpga(AcceleratorConfig::paper())),
+    ];
+    let mut builder = PlanService::builder();
+    for (name, choice) in planners.clone() {
+        builder = builder.register(name, choice, base.clone());
+    }
+    let service = builder.build();
+    let mut cases = Cases::new();
+    for (planner, _) in planners {
+        for (scenario, variant) in scenarios() {
+            for seed in [3u64, 17, 92] {
+                let spec = BatchSpec::new(2, 16, seed).with_scenario(variant);
+                let request = SubmitBatch::new(planner, spec).with_trace(true);
+                let report = service.submit(&request).expect("submit");
+                let mut h = Fnv64::new();
+                h.bytes(report.reports.to_json().as_bytes());
+                h.bytes(report.trace.to_json().as_bytes());
+                cases.insert(format!("service/{planner}/{scenario}/{seed}"), h.0);
+            }
+        }
+    }
+    cases
+}
+
 fn fixture() -> Cases {
     FIXTURE
         .lines()
@@ -193,6 +304,8 @@ fn assert_known(prefix: &str, computed: &Cases) {
         .keys()
         .chain(computed.keys().filter(|name| name.starts_with(prefix)))
         .filter(|name| expected.get(*name) != computed.get(*name))
+        .collect::<std::collections::BTreeSet<_>>()
+        .into_iter()
         .collect();
     assert!(
         mismatched.is_empty(),
@@ -225,6 +338,16 @@ fn accelerator_schedules_match_known_answers() {
     assert_known("fpga50/", &accelerator_cases());
 }
 
+#[test]
+fn imaging_frames_and_detections_match_known_answers() {
+    assert_known("imaging/", &imaging_cases());
+}
+
+#[test]
+fn service_reports_match_known_answers() {
+    assert_known("service/", &service_cases());
+}
+
 /// Rewrites the fixture from the current planners. Run only for a
 /// deliberate change of planner output:
 /// `cargo test --test known_answers -- --ignored regenerate_known_answers`.
@@ -235,6 +358,8 @@ fn regenerate_known_answers() {
     all.extend(random_qrm_cases());
     all.extend(planner_matrix_cases());
     all.extend(accelerator_cases());
+    all.extend(imaging_cases());
+    all.extend(service_cases());
     let text: String = all
         .iter()
         .map(|(name, hash)| format!("{name} {hash:016x}\n"))
