@@ -1,8 +1,9 @@
 //! Microbenchmarks of the kernel primitives: bit-line operations, a
 //! single kernel pass, the cycle-accurate shift-unit simulation at the
-//! headline quadrant size (Qw = 25), the cross-quadrant merge of one
-//! 50x50 paper instance, and the synthetic imaging of that instance
-//! (frame rendering and atom detection, default imaging regime).
+//! headline quadrant size (Qw = 25), the 50x50 grid transpose, the
+//! cross-quadrant merge of one 50x50 paper instance and the whole paper
+//! plan of it, and the synthetic imaging of that instance (frame
+//! rendering and atom detection, default imaging regime).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_core::bitline;
@@ -12,7 +13,8 @@ use qrm_core::grid::AtomGrid;
 use qrm_core::kernel::{plan_row_windows, run_pass, KernelOutcome, KernelStrategy, ShiftKernel};
 use qrm_core::loading::seeded_rng;
 use qrm_core::merge::{merge_outcomes, MergeConfig};
-use qrm_core::scheduler::QrmConfig;
+use qrm_core::planner::Planner;
+use qrm_core::scheduler::{QrmConfig, QrmScheduler};
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
 use qrm_vision::prelude::{render, Detector, ImagingConfig, TrapLayout};
 
@@ -60,8 +62,14 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| unit.run(Axis::Row, &jobs))
     });
 
-    // the merge of one paper instance's four quadrant outcomes
+    // the 50x50 transpose a merge runs at every pass-axis change
     let (grid, target) = qrm_bench::paper_instance(50, 0);
+    let mut transposed = AtomGrid::new(50, 50).expect("50x50 grid");
+    group.bench_function("transpose_50", |b| {
+        b.iter(|| grid.transpose_into(&mut transposed))
+    });
+
+    // the merge of one paper instance's four quadrant outcomes
     let work = decompose(&grid, &target).expect("paper instance decomposes");
     let kernel = ShiftKernel::new(kernel_config_for(&QrmConfig::paper(), &work));
     let outcomes: [KernelOutcome; 4] = work
@@ -71,6 +79,10 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("merge_paper_50", |b| {
         b.iter(|| merge_outcomes(&grid, &work.map, &outcomes, &MergeConfig::default()))
     });
+
+    // the whole paper plan of the same instance: split, kernels, merge
+    let planner = QrmScheduler::new(QrmConfig::paper());
+    group.bench_function("plan_paper_50", |b| b.iter(|| planner.plan(&grid, &target)));
 
     // one camera frame of the same instance, at the pipeline's geometry
     let layout = TrapLayout::new(50, 50, 6.0, 4.0);

@@ -165,27 +165,36 @@ impl AodBatcher {
 
         // Fast path: a single batch works whenever no line holds a
         // stationary atom under the union of all mover columns — by far
-        // the common case for compaction waves.
+        // the common case for compaction waves. The batch's lines are
+        // gathered while checking; one incompatible line abandons it
+        // for first-fit.
         let mut union = std::mem::take(&mut scratch.union);
         union.clear();
         union.resize(stride, 0);
-        for i in (0..lines.len()).filter(|&i| moves(i)) {
-            for (u, m) in union.iter_mut().zip(mover(i)) {
+        for m in masks.chunks_exact(stride) {
+            for (u, m) in union.iter_mut().zip(m) {
                 *u |= m;
             }
         }
-        let all_compatible = (0..lines.len()).filter(|&i| moves(i)).all(|i| {
-            occ.row_bits(lines[i])
-                .iter()
-                .zip(union.iter().zip(mover(i)))
-                .all(|(o, (u, m))| o & u & !m == 0)
-        });
         let any_moves = union.iter().any(|&w| w != 0);
-        if any_moves && all_compatible {
+        let mut all_compatible = any_moves;
+        if any_moves {
             let slot = scratch.open(&union);
-            let moving = (0..lines.len()).filter(|&i| moves(i));
-            scratch.batches[slot].lines.extend(moving.map(|i| lines[i]));
-        } else if any_moves {
+            for i in (0..lines.len()).filter(|&i| moves(i)) {
+                let compatible = occ
+                    .row_bits(lines[i])
+                    .iter()
+                    .zip(union.iter().zip(mover(i)))
+                    .all(|(o, (u, m))| o & u & !m == 0);
+                if !compatible {
+                    all_compatible = false;
+                    scratch.len = 0;
+                    break;
+                }
+                scratch.batches[slot].lines.push(lines[i]);
+            }
+        }
+        if any_moves && !all_compatible {
             for i in (0..lines.len()).filter(|&i| moves(i)) {
                 let (mask, occ_line) = (mover(i), occ.row_bits(lines[i]));
                 debug_assert!(

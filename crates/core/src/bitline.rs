@@ -184,11 +184,13 @@ pub fn ones(words: &[u64], width: usize) -> Vec<usize> {
 
 /// Writes `words` shifted one position toward higher indices
 /// (west-to-east) into `out`, dropping any bit that would leave `width`.
+/// The reference the merge's in-place batch apply is tested against.
 ///
 /// # Panics
 ///
 /// Panics when `out` is shorter than `words`.
-pub fn shift_up_one_into(words: &[u64], width: usize, out: &mut [u64]) {
+#[cfg(test)]
+pub(crate) fn shift_up_one_into(words: &[u64], width: usize, out: &mut [u64]) {
     let n = words.len();
     let mut carry = 0u64;
     for (o, &w) in out[..n].iter_mut().zip(words) {
@@ -207,7 +209,8 @@ pub fn shift_up_one_into(words: &[u64], width: usize, out: &mut [u64]) {
 /// # Panics
 ///
 /// Panics when `out` is shorter than `words`.
-pub fn shift_down_one_into(words: &[u64], out: &mut [u64]) {
+#[cfg(test)]
+pub(crate) fn shift_down_one_into(words: &[u64], out: &mut [u64]) {
     for (i, (o, &w)) in out[..words.len()].iter_mut().zip(words).enumerate() {
         let next = words.get(i + 1).copied().unwrap_or(0);
         *o = (w >> 1) | (next << (WORD_BITS - 1));
@@ -216,32 +219,100 @@ pub fn shift_down_one_into(words: &[u64], out: &mut [u64]) {
 
 /// Builds a mask with bits `lo..hi` set, `len_words` words long.
 pub fn range_mask(len_words: usize, lo: usize, hi: usize) -> Vec<u64> {
-    let hi = hi.min(len_words * WORD_BITS);
     let mut m = vec![0u64; len_words];
-    if lo >= hi {
-        return m;
-    }
-    for (i, word) in m.iter_mut().enumerate() {
-        let word_lo = i * WORD_BITS;
-        let word_hi = word_lo + WORD_BITS;
-        if hi <= word_lo || lo >= word_hi {
-            continue;
-        }
-        let start = lo.max(word_lo) - word_lo;
-        let end = hi.min(word_hi) - word_lo;
-        let upper = if end == WORD_BITS {
-            u64::MAX
-        } else {
-            (1u64 << end) - 1
-        };
-        *word = upper & !((1u64 << start) - 1);
-    }
+    set_range(&mut m, lo, hi);
     m
+}
+
+/// Sets bits `lo..hi` of `words` (clamped to its length), word by word.
+pub(crate) fn set_range(words: &mut [u64], lo: usize, hi: usize) {
+    let hi = hi.min(words.len() * WORD_BITS);
+    if lo >= hi {
+        return;
+    }
+    let first = lo / WORD_BITS;
+    for (i, word) in words[..hi.div_ceil(WORD_BITS)]
+        .iter_mut()
+        .enumerate()
+        .skip(first)
+    {
+        *word |= word_mask(i, lo, hi);
+    }
+}
+
+/// The bits of `lo..hi` that fall in word `i`, as a mask of that word.
+/// The range must overlap the word.
+pub(crate) fn word_mask(i: usize, lo: usize, hi: usize) -> u64 {
+    let (start, end) = (i * WORD_BITS, (i + 1) * WORD_BITS);
+    debug_assert!(lo < end && start < hi, "range {lo}..{hi} misses word {i}");
+    (u64::MAX << (lo.max(start) - start)) & (u64::MAX >> (end - hi.min(end)))
+}
+
+/// Writes bits `lo..lo + len` of `src` to bits `0..len` of `dst`,
+/// mirrored (bit `lo + len - 1` first) when `mirror` is set, a word at a
+/// time. Bits of `dst` at or above `len` are cleared.
+pub(crate) fn copy_range(src: &[u64], lo: usize, len: usize, mirror: bool, dst: &mut [u64]) {
+    for (j, d) in dst.iter_mut().enumerate() {
+        let at = j * WORD_BITS;
+        *d = if mirror {
+            // Destination bits `at..at + 64` are source bits
+            // `lo + len - at - 64..lo + len - at`, reversed.
+            window(src, (lo + len) as isize - (at + WORD_BITS) as isize).reverse_bits()
+        } else {
+            window(src, (lo + at) as isize)
+        };
+    }
+    let tail = len % WORD_BITS;
+    if let (Some(last), true) = (dst.last_mut(), tail != 0) {
+        *last &= low_mask(tail);
+    }
+}
+
+/// The 64 bits of `words` from bit `start` up; bits before the start or
+/// past the end of the slice read as zero.
+fn window(words: &[u64], start: isize) -> u64 {
+    let word = start.div_euclid(WORD_BITS as isize);
+    let bit = start.rem_euclid(WORD_BITS as isize) as usize;
+    let get = |i: isize| {
+        usize::try_from(i)
+            .ok()
+            .and_then(|i| words.get(i))
+            .copied()
+            .unwrap_or(0)
+    };
+    let low = get(word) >> bit;
+    if bit == 0 {
+        low
+    } else {
+        low | get(word + 1) << (WORD_BITS - bit)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn whole_line_shifts_are_inverse_up_to_edges(width in 1usize..150, seed in any::<u64>()) {
+            let mut rng = crate::loading::seeded_rng(seed);
+            let mut line = vec![0u64; words_for(width)];
+            for pos in 0..width {
+                set(&mut line, pos, rand::Rng::gen_bool(&mut rng, 0.5));
+            }
+            // down(up(x)) == x when no bit falls off the top
+            if highest_one(&line).is_none_or(|t| t + 1 < width) {
+                let mut up = vec![0u64; line.len()];
+                shift_up_one_into(&line, width, &mut up);
+                let mut back = vec![0u64; line.len()];
+                shift_down_one_into(&up, &mut back);
+                prop_assert_eq!(back, line);
+            }
+        }
+    }
 
     /// Bit-by-bit reference for the word-level suffix shift.
     fn suffix_shift_ref(words: &mut [u64], hole: usize, width: usize) {

@@ -5,11 +5,19 @@
 //! paper's shift kernel uses on the FPGA (§IV-C), which makes row scans and
 //! flips cheap and keeps the software scheduler comparable to the hardware
 //! datapath.
+//!
+//! Column passes reuse the row-wise kernel on a transposed grid, so the
+//! transpose is on the planner's hot path: [`AtomGrid::transpose_into`]
+//! moves whole 64 x 64 bit blocks with six word-wide mask-and-swap
+//! stages rather than one bit at a time, and rectangle counts
+//! ([`AtomGrid::count_in`], [`AtomGrid::is_filled`]) popcount masked row
+//! words.
 
 use std::fmt;
 
 use rand::Rng;
 
+use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Position, Rect};
 
@@ -285,10 +293,10 @@ impl AtomGrid {
         if !rect.fits_in(self.height, self.width) {
             return Err(self.rect_err(rect));
         }
-        Ok(rect
-            .positions()
-            .filter(|p| self.get_unchecked(p.row, p.col))
-            .count())
+        Ok(self
+            .rect_words(rect)
+            .map(|(w, m)| (w & m).count_ones() as usize)
+            .sum())
     }
 
     /// Whether every site of `rect` is occupied (defect-free target check).
@@ -297,7 +305,27 @@ impl AtomGrid {
     ///
     /// Returns [`Error::RectOutOfBounds`] when `rect` does not fit.
     pub fn is_filled(&self, rect: &Rect) -> Result<bool, Error> {
-        Ok(self.count_in(rect)? == rect.area())
+        if !rect.fits_in(self.height, self.width) {
+            return Err(self.rect_err(rect));
+        }
+        Ok(self.rect_words(rect).all(|(w, m)| w & m == m))
+    }
+
+    /// The row words `rect` overlaps, each paired with the mask of its
+    /// columns inside `rect`. The rect must fit.
+    fn rect_words(&self, rect: &Rect) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (lo, hi) = (rect.col, rect.col + rect.width);
+        let words = if rect.width == 0 {
+            0..0
+        } else {
+            lo / WORD_BITS..(hi - 1) / WORD_BITS + 1
+        };
+        (rect.row..rect.row + rect.height).flat_map(move |r| {
+            let row = &self.words[r * self.stride..(r + 1) * self.stride];
+            words
+                .clone()
+                .map(move |i| (row[i], bitline::word_mask(i, lo, hi)))
+        })
     }
 
     /// Positions inside `rect` that are empty (the remaining defects).
@@ -423,19 +451,33 @@ impl AtomGrid {
     /// allocation-free once their scratch is warm; contents of `out`
     /// are discarded. Produces exactly the grid
     /// [`transpose`](Self::transpose) returns.
+    ///
+    /// The grid is tiled into 64-row x 64-column blocks — one word of
+    /// each of up to 64 rows — and each block is transposed as a bit
+    /// matrix with the mask-and-swap of Hacker's Delight §7-3: word `j`
+    /// of the transposed block is column `j` of the original, which is
+    /// row `j` of the output.
     pub fn transpose_into(&self, out: &mut AtomGrid) {
         out.reshape(self.width, self.height);
-        // Visit only the set bits of each row word. Bits at or above
-        // `width` are zero (the tail invariant), so every visited column
-        // is in range.
-        for (r, row) in self.words.chunks_exact(self.stride).enumerate() {
-            let (word, bit) = (r / WORD_BITS, 1u64 << (r % WORD_BITS));
-            for (i, &w) in row.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    let c = i * WORD_BITS + w.trailing_zeros() as usize;
-                    out.words[c * out.stride + word] |= bit;
-                    w &= w - 1;
+        let mut block = [0u64; WORD_BITS];
+        for bi in 0..out.stride {
+            let rows = (self.height - bi * WORD_BITS).min(WORD_BITS);
+            for bj in 0..self.stride {
+                let cols = (self.width - bj * WORD_BITS).min(WORD_BITS);
+                // Rows and columns past the grid stay zero (bits at or
+                // above `width` are zero by the tail invariant), so only
+                // the stages a `size x size` matrix needs change bits.
+                let size = rows.max(cols).next_power_of_two();
+                for (i, b) in block[..size].iter_mut().enumerate() {
+                    *b = if i < rows {
+                        self.words[(bi * WORD_BITS + i) * self.stride + bj]
+                    } else {
+                        0
+                    };
+                }
+                transpose_block(&mut block[..size]);
+                for (j, &b) in block[..cols].iter().enumerate() {
+                    out.words[(bj * WORD_BITS + j) * out.stride + bi] = b;
                 }
             }
         }
@@ -553,6 +595,44 @@ impl AtomGrid {
     }
 }
 
+/// `MASKS[k]` selects the low `2^k` bits of every `2^(k+1)`-bit group:
+/// the columns a stage of width `2^k` keeps in place.
+const MASKS: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// Transposes the `n x n` bit matrix held in `block` in place, `n` a
+/// power of two up to 64: bit `j` of word `i` moves to bit `i` of word
+/// `j`.
+///
+/// Stage `s` (`n/2`, ..., 2, 1) views the matrix as `s x s` tiles and
+/// swaps, in every 2x2 group of tiles, the top-right tile with the
+/// bottom-left one; after the width-1 stage every tile is a single bit
+/// and the matrix is transposed (Hacker's Delight §7-3, with bit 0 as
+/// the first column).
+fn transpose_block(block: &mut [u64]) {
+    let n = block.len();
+    debug_assert!(n.is_power_of_two() && n <= WORD_BITS, "block size {n}");
+    let mut s = n / 2;
+    while s > 0 {
+        let mask = MASKS[s.trailing_zeros() as usize];
+        for top in (0..n).step_by(2 * s) {
+            let (upper, lower) = block[top..top + 2 * s].split_at_mut(s);
+            for (a, b) in upper.iter_mut().zip(lower) {
+                let t = ((*a >> s) ^ *b) & mask;
+                *b ^= t;
+                *a ^= t << s;
+            }
+        }
+        s /= 2;
+    }
+}
+
 impl fmt::Display for AtomGrid {
     /// Renders `'#'` for occupied and `'.'` for empty sites, one row per
     /// line (north row first).
@@ -587,7 +667,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn new_rejects_zero_dims() {
@@ -679,23 +759,60 @@ mod tests {
         }
     }
 
+    /// A random grid of 1–200 rows and columns, biased toward the
+    /// shapes block tiling treats specially: a single row or column and
+    /// sizes on either side of a 64-bit block boundary.
+    fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
+        let side = || {
+            (0usize..4, 1usize..201, 1usize..4, 0usize..5).prop_map(
+                |(mode, any, k, off)| match mode {
+                    0 => 1,
+                    1 => 64 * k + off - 2,
+                    _ => any,
+                },
+            )
+        };
+        (side(), side())
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
         fn transpose_into_matches_per_site_reference(
-            h in 1usize..140,
-            w in 1usize..140,
+            (h, w) in arb_shape(),
             fill in 0.0f64..1.0,
             seed in any::<u64>(),
+            (sh, sw) in arb_shape(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = AtomGrid::random(h, w, fill, &mut rng);
-            // Stale, mis-shaped scratch.
-            let mut out = AtomGrid::random(w % 7 + 1, h % 5 + 1, 0.5, &mut rng);
+            // Warm scratch of another shape, with stale contents.
+            let mut out = AtomGrid::random(sh, sw, 0.5, &mut rng);
             g.transpose_into(&mut out);
             prop_assert_eq!(&out, &transpose_ref(&g));
             prop_assert_eq!(g.transpose(), out);
+        }
+
+        #[test]
+        fn rect_counts_match_per_site_reference(
+            (h, w) in arb_shape(),
+            (fill, full) in (0.0f64..1.0, any::<bool>()),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = AtomGrid::random(h, w, if full { 1.0 } else { fill }, &mut rng);
+            for _ in 0..8 {
+                let (row, col) = (rng.gen_range(0..h + 1), rng.gen_range(0..w + 1));
+                let (rh, rw) = (rng.gen_range(0..h - row + 1), rng.gen_range(0..w - col + 1));
+                let rect = Rect::new(row, col, rh, rw);
+                let count = rect.positions().filter(|p| g.get_unchecked(p.row, p.col)).count();
+                prop_assert_eq!(g.count_in(&rect).unwrap(), count);
+                prop_assert_eq!(g.is_filled(&rect).unwrap(), count == rect.area());
+            }
+            let beyond = Rect::new(0, 0, h, w + 1);
+            prop_assert!(g.count_in(&beyond).is_err());
+            prop_assert!(g.is_filled(&beyond).is_err());
         }
     }
 

@@ -30,8 +30,12 @@
 //! the same waves event-driven. Each line jumps from one eligible hole
 //! to the next ([`bitline::eligible_hole`]), so a pass costs time in
 //! proportion to the shifts it emits rather than to `lines x positions`,
-//! and the logged shifts are grouped into waves by hole afterwards (see
-//! [`run_pass`]). Column passes run on a transposed copy of the grid.
+//! and the logged shifts are counting-sorted into waves by hole
+//! afterwards (see [`run_pass`]). A [`LocalPass`] stores its waves flat
+//! — one wave-major shift vector plus wave end offsets — so each pass
+//! allocates two vectors, not one per wave. Column passes run on a
+//! transposed copy of the grid (a 64 x 64 block transpose, see
+//! [`AtomGrid::transpose_into`]).
 
 use crate::bitline;
 use crate::error::Error;
@@ -49,25 +53,31 @@ pub struct LocalShift {
     pub hole: usize,
 }
 
-/// One wave: suffix shifts on distinct lines that execute simultaneously
-/// (same direction, same unit step — the multi-tweezer parallelism of
-/// §II-B).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LocalWave {
-    /// The simultaneous shifts, at most one per line.
-    pub shifts: Vec<LocalShift>,
-}
-
-impl LocalWave {
-    /// Whether the wave contains no shifts.
-    pub fn is_empty(&self) -> bool {
-        self.shifts.is_empty()
-    }
-}
-
 /// One pass: all waves produced by scanning every line along `axis` until
 /// no line can shift further.
+///
+/// A wave holds suffix shifts on distinct lines that execute
+/// simultaneously (same direction, same unit step — the multi-tweezer
+/// parallelism of §II-B). The waves are stored flat: every shift of the
+/// pass in one wave-major vector, plus the end offset of each wave in
+/// it, so a pass costs two allocations however many waves it has.
+/// Interior empty waves are kept (wave `k` is scan position `k`);
+/// trailing empty waves are trimmed.
+///
+/// ```
+/// use qrm_core::geometry::Axis;
+/// use qrm_core::kernel::{LocalPass, LocalShift};
+///
+/// let shift = |line, hole| LocalShift { line, hole };
+/// let pass = LocalPass::from_waves(
+///     Axis::Row,
+///     &[vec![shift(0, 0), shift(2, 0)], vec![], vec![shift(1, 2)], vec![]],
+/// );
+/// assert_eq!(pass.wave_count(), 3);
+/// assert_eq!(pass.wave(1), Some(&[][..]));
+/// assert_eq!(pass.wave(2), Some(&[shift(1, 2)][..]));
+/// assert_eq!(pass.shift_count(), 3);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalPass {
@@ -75,14 +85,53 @@ pub struct LocalPass {
     /// column 0), [`Axis::Col`] compresses rows northward (toward local
     /// row 0).
     pub axis: Axis,
-    /// Waves in execution order.
-    pub waves: Vec<LocalWave>,
+    /// Every shift of the pass, wave by wave.
+    shifts: Vec<LocalShift>,
+    /// `ends[k]` is the end of wave `k` in `shifts`; the last is nonzero
+    /// and all are nondecreasing.
+    ends: Vec<usize>,
 }
 
 impl LocalPass {
+    /// A pass from its waves in execution order (`waves[k]` holds the
+    /// shifts that fired at scan position `k`), trimming trailing empty
+    /// waves.
+    pub fn from_waves<W: AsRef<[LocalShift]>>(axis: Axis, waves: &[W]) -> LocalPass {
+        let nwaves = waves
+            .iter()
+            .rposition(|w| !w.as_ref().is_empty())
+            .map_or(0, |k| k + 1);
+        let waves = &waves[..nwaves];
+        let mut shifts = Vec::with_capacity(waves.iter().map(|w| w.as_ref().len()).sum());
+        let mut ends = Vec::with_capacity(nwaves);
+        for wave in waves {
+            shifts.extend_from_slice(wave.as_ref());
+            ends.push(shifts.len());
+        }
+        LocalPass { axis, shifts, ends }
+    }
+
+    /// Number of waves, interior empty ones included.
+    pub fn wave_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The shifts of wave `k`, in line order, or `None` past the last
+    /// wave.
+    pub fn wave(&self, k: usize) -> Option<&[LocalShift]> {
+        let end = *self.ends.get(k)?;
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        Some(&self.shifts[start..end])
+    }
+
+    /// The waves in execution order.
+    pub fn waves(&self) -> impl ExactSizeIterator<Item = &[LocalShift]> + '_ {
+        (0..self.wave_count()).map(|k| self.wave(k).expect("k < wave_count"))
+    }
+
     /// Total number of unit shifts in the pass.
     pub fn shift_count(&self) -> usize {
-        self.waves.iter().map(|w| w.shifts.len()).sum()
+        self.shifts.len()
     }
 }
 
@@ -243,10 +292,11 @@ impl KernelScratch {
 /// Recycled per-pass working buffers: the transposed view a column pass
 /// scans in place of the grid, and the log of the pass's shifts. With a
 /// warm `PassScratch`, [`run_pass_in`] (and therefore
-/// [`ShiftKernel::step`]) allocates only the returned waves, each at its
-/// exact size; results are bit-identical to a cold one. Recovered
-/// from a finished run with [`ShiftKernel::finish_split`] and fed back
-/// in through [`ShiftKernel::start_with`] — the engine's
+/// [`ShiftKernel::step`]) allocates only the returned pass's two flat
+/// vectors, each at its exact size; results are bit-identical to a cold
+/// one. Recovered from a finished run with
+/// [`ShiftKernel::finish_split`] and fed back in through
+/// [`ShiftKernel::start_with`] — the engine's
 /// [`PlanContext`](crate::engine::PlanContext) pools these alongside
 /// [`KernelScratch`].
 #[derive(Debug, Clone)]
@@ -256,35 +306,39 @@ pub struct PassScratch {
 }
 
 /// The shifts of one pass in the order they fire (line-major), and a
-/// per-hole count used to group them into waves.
+/// per-hole cursor used to group them into waves.
 #[derive(Debug, Clone, Default)]
 struct ShiftLog {
     shifts: Vec<LocalShift>,
-    counts: Vec<usize>,
+    cursors: Vec<usize>,
 }
 
 impl ShiftLog {
-    /// Groups the logged shifts into waves by hole: wave `k` holds the
-    /// shifts at hole `k` in line order, up to the highest hole. Each
-    /// wave is allocated once, at its exact size.
-    fn waves(&mut self) -> Vec<LocalWave> {
+    /// Counting-sorts the logged shifts by hole straight into a pass:
+    /// wave `k` holds the shifts at hole `k` in line order, up to the
+    /// highest hole. The pass's two vectors are allocated once each, at
+    /// their exact sizes.
+    fn group_waves(&mut self, axis: Axis) -> LocalPass {
         let nwaves = self.shifts.iter().map(|s| s.hole + 1).max().unwrap_or(0);
-        self.counts.clear();
-        self.counts.resize(nwaves, 0);
+        let mut ends = vec![0usize; nwaves];
         for s in &self.shifts {
-            self.counts[s.hole] += 1;
+            ends[s.hole] += 1;
         }
-        let mut waves: Vec<LocalWave> = self
-            .counts
-            .iter()
-            .map(|&n| LocalWave {
-                shifts: Vec::with_capacity(n),
-            })
-            .collect();
+        // `cursors[k]` starts at the beginning of wave `k`; `ends` turns
+        // from per-wave counts into end offsets.
+        self.cursors.clear();
+        let mut total = 0;
+        for end in &mut ends {
+            self.cursors.push(total);
+            total += *end;
+            *end = total;
+        }
+        let mut shifts = vec![LocalShift { line: 0, hole: 0 }; total];
         for &s in &self.shifts {
-            waves[s.hole].shifts.push(s);
+            shifts[self.cursors[s.hole]] = s;
+            self.cursors[s.hole] += 1;
         }
-        waves
+        LocalPass { axis, shifts, ends }
     }
 }
 
@@ -452,7 +506,7 @@ impl ShiftKernel {
         let (qh, qw) = state.grid.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
         state.iterations += 1;
-        let row_limits = self.row_limits(&state.grid, qw, th, tw);
+        let row_limits = plan_row_windows(&state.grid, self.config.strategy, th, tw);
         let row_pass = run_pass_in(
             &mut state.grid,
             Axis::Row,
@@ -460,7 +514,7 @@ impl ShiftKernel {
             self.config.row_enable.as_deref(),
             &mut state.scratch,
         );
-        let col_limits = self.col_limits(qh, qw, th);
+        let col_limits = plan_col_windows(self.config.strategy, qh, qw, th, tw);
         let col_pass = run_pass_in(
             &mut state.grid,
             Axis::Col,
@@ -512,15 +566,6 @@ impl ShiftKernel {
             },
             state.scratch,
         ))
-    }
-
-    fn row_limits(&self, grid: &AtomGrid, qw: usize, th: usize, tw: usize) -> Vec<(usize, usize)> {
-        let _ = qw;
-        plan_row_windows(grid, self.config.strategy, th, tw)
-    }
-
-    fn col_limits(&self, qh: usize, qw: usize, th: usize) -> Vec<(usize, usize)> {
-        plan_col_windows(self.config.strategy, qh, qw, th, self.config.target_width)
     }
 }
 
@@ -747,10 +792,7 @@ fn pass_over_lines(
             cursor = hole + 1;
         }
     }
-    LocalPass {
-        axis,
-        waves: log.waves(),
-    }
+    log.group_waves(axis)
 }
 
 #[cfg(test)]
@@ -767,13 +809,13 @@ mod tests {
     fn replay(input: &AtomGrid, outcome: &KernelOutcome) -> AtomGrid {
         let mut g = input.clone();
         for pass in &outcome.passes {
-            for wave in &pass.waves {
+            for wave in pass.waves() {
                 let mut view = match pass.axis {
                     Axis::Row => g.clone(),
                     Axis::Col => g.transpose(),
                 };
                 let w = view.width();
-                for s in &wave.shifts {
+                for s in wave {
                     let mut bits = view.row_bits(s.line).to_vec();
                     assert!(
                         !bitline::get(&bits, s.hole),
@@ -822,7 +864,7 @@ mod tests {
             .min(linelen);
         let mut waves = Vec::new();
         for k in 0..scan_end {
-            let mut wave = LocalWave::default();
+            let mut wave = Vec::new();
             for line in 0..nlines {
                 if let Some(en) = enable {
                     if !en.get(line).copied().unwrap_or(true) {
@@ -837,19 +879,16 @@ mod tests {
                 if !bitline::get(&bits, k) && bitline::highest_one(&bits).is_some_and(|t| t > k) {
                     bitline::suffix_shift(&mut bits, k, linelen);
                     view.set_row_bits(line, &bits);
-                    wave.shifts.push(LocalShift { line, hole: k });
+                    wave.push(LocalShift { line, hole: k });
                 }
             }
             waves.push(wave);
-        }
-        while waves.last().is_some_and(LocalWave::is_empty) {
-            waves.pop();
         }
         *grid = match axis {
             Axis::Row => view,
             Axis::Col => transpose(&view),
         };
-        LocalPass { axis, waves }
+        LocalPass::from_waves(axis, &waves)
     }
 
     /// An arbitrary pass input: grid (multi-word in either axis), axis,
@@ -913,6 +952,35 @@ mod tests {
             );
             prop_assert_eq!(got, expected);
             prop_assert_eq!(got_grid, expected_grid);
+        }
+
+        #[test]
+        fn local_pass_reads_back_its_waves(
+            raw in proptest::collection::vec(
+                proptest::collection::vec((0usize..40, 0usize..40), 0..4),
+                0..10,
+            ),
+            rows in any::<bool>(),
+        ) {
+            let axis = if rows { Axis::Row } else { Axis::Col };
+            let waves: Vec<Vec<LocalShift>> = raw
+                .iter()
+                .map(|w| w.iter().map(|&(line, hole)| LocalShift { line, hole }).collect())
+                .collect();
+            let pass = LocalPass::from_waves(axis, &waves);
+            // Trailing empty waves are trimmed, interior ones kept.
+            let kept = waves.iter().rposition(|w| !w.is_empty()).map_or(0, |k| k + 1);
+            prop_assert_eq!(pass.axis, axis);
+            prop_assert_eq!(pass.wave_count(), kept);
+            prop_assert_eq!(pass.waves().len(), kept);
+            for (k, wave) in pass.waves().enumerate() {
+                prop_assert_eq!(wave, &waves[k][..]);
+                prop_assert_eq!(pass.wave(k), Some(&waves[k][..]));
+            }
+            prop_assert_eq!(pass.wave(kept), None);
+            let total: usize = waves.iter().map(Vec::len).sum();
+            prop_assert_eq!(pass.shift_count(), total);
+            prop_assert_eq!(&LocalPass::from_waves(axis, &waves[..kept]), &pass);
         }
     }
 

@@ -19,15 +19,19 @@
 //! date when the pass axis changes. A wave's movers (global line plus
 //! the atoms beyond its hole) go into one flat mover buffer, one grid
 //! row's words per line, that every wave reuses, as do the batcher's
-//! buffers and the line-shift scratch; the only allocations per move
-//! are the [`ParallelMove`]'s own row and column lists.
+//! buffers. Each batch is applied to its lines in place, word by word
+//! with a carry. A merge allocates its two working grids, one suffix-mask
+//! table per axis orientation and the schedule; the only allocations
+//! per move are the [`ParallelMove`]'s own row and column lists, built
+//! already sorted (positions come from ascending bit scans, and the
+//! line list is sorted once).
 
 use crate::aod::{AodBatcher, Batch, BatchScratch};
 use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Axis, Direction, QuadrantId};
 use crate::grid::AtomGrid;
-use crate::kernel::KernelOutcome;
+use crate::kernel::{KernelOutcome, LocalPass};
 use crate::moves::ParallelMove;
 use crate::quadrant::QuadrantMap;
 use crate::schedule::Schedule;
@@ -79,8 +83,6 @@ pub fn merge_outcomes(
         batcher: AodBatcher::new(),
         batches: BatchScratch::default(),
         movers: Movers::default(),
-        moved: Vec::new(),
-        shifted: Vec::new(),
     };
     // Precomputed suffix-range masks per hole position (hot path).
     let h_masks = SuffixMasks::build(map.quadrant_width(), bitline::words_for(grid.width()));
@@ -102,7 +104,7 @@ pub fn merge_outcomes(
         }
         let nwaves = outcomes
             .iter()
-            .map(|o| o.passes.get(p).map_or(0, |pass| pass.waves.len()))
+            .map(|o| o.passes.get(p).map_or(0, LocalPass::wave_count))
             .max()
             .unwrap_or(0);
         for w in 0..nwaves {
@@ -119,11 +121,11 @@ pub fn merge_outcomes(
             for (direction, members) in groups {
                 if config.merge_quadrants {
                     state.collect_movers(map, outcomes, &members, p, w, axis, masks);
-                    state.emit_batches(axis, direction)?;
+                    state.emit_batches(axis, direction);
                 } else {
                     for q in members {
                         state.collect_movers(map, outcomes, &[q], p, w, axis, masks);
-                        state.emit_batches(axis, direction)?;
+                        state.emit_batches(axis, direction);
                     }
                 }
             }
@@ -153,15 +155,16 @@ struct SuffixMasks {
 
 impl SuffixMasks {
     fn build(half: usize, words: usize) -> Self {
-        SuffixMasks {
-            words,
-            low: (0..half)
-                .flat_map(|hole| bitline::range_mask(words, 0, half - 1 - hole))
-                .collect(),
-            high: (0..half)
-                .flat_map(|hole| bitline::range_mask(words, half + hole + 1, 2 * half))
-                .collect(),
+        let mut low = vec![0u64; half * words];
+        let mut high = vec![0u64; half * words];
+        let rows = low
+            .chunks_exact_mut(words)
+            .zip(high.chunks_exact_mut(words));
+        for (hole, (low, high)) in rows.enumerate() {
+            bitline::set_range(low, 0, half - 1 - hole);
+            bitline::set_range(high, half + hole + 1, 2 * half);
         }
+        SuffixMasks { words, low, high }
     }
 
     /// The range mask of `hole` for a quadrant on the low (`true`) or
@@ -193,9 +196,6 @@ struct MergeState {
     batcher: AodBatcher,
     batches: BatchScratch,
     movers: Movers,
-    /// One line's moving atoms, and the same shifted one site.
-    moved: Vec<u64>,
-    shifted: Vec<u64>,
 }
 
 impl MergeState {
@@ -225,10 +225,10 @@ impl MergeState {
                 continue;
             };
             debug_assert_eq!(pass.axis, axis, "pass axis misalignment");
-            let Some(wave) = pass.waves.get(w) else {
+            let Some(wave) = pass.wave(w) else {
                 continue;
             };
-            for shift in &wave.shifts {
+            for shift in wave {
                 let (global_line, occ, low) = match axis {
                     Axis::Row => {
                         let row = map.global_row(q, shift.line);
@@ -260,9 +260,9 @@ impl MergeState {
     /// per move here (the test suite executes every merged schedule
     /// through the validating [`Executor`](crate::executor::Executor)
     /// instead). Debug builds still assert collision-freedom per line.
-    fn emit_batches(&mut self, axis: Axis, direction: Direction) -> Result<(), Error> {
+    fn emit_batches(&mut self, axis: Axis, direction: Direction) {
         if self.movers.lines.is_empty() {
-            return Ok(());
+            return;
         }
         // Occupancy per line along the pass axis.
         let occ = match axis {
@@ -278,58 +278,85 @@ impl MergeState {
             &mut self.batches,
         );
         for batch in batches {
+            // Positions come out of the bit scan ascending; the lines
+            // (distinct global lines of one wave) need one sort.
             let positions = batch.positions(width);
+            let mut lines = batch.lines.clone();
+            lines.sort_unstable();
             let (rows, cols) = match axis {
-                Axis::Row => (batch.lines.clone(), positions),
-                Axis::Col => (positions, batch.lines.clone()),
+                Axis::Row => (lines, positions),
+                Axis::Col => (positions, lines),
             };
-            self.schedule.push(ParallelMove::new(rows, cols, dr, dc)?);
+            self.schedule
+                .push(ParallelMove::from_sorted(rows, cols, dr, dc));
             let lines = match axis {
                 Axis::Row => &mut self.working,
                 Axis::Col => &mut self.working_t,
             };
-            apply_batch(lines, direction, batch, &mut self.moved, &mut self.shifted);
+            apply_batch(lines, direction, batch);
         }
-        Ok(())
     }
 }
 
 /// Applies one batch in place to `lines`, the grid whose rows are the
-/// pass's lines. `moved` and `shifted` are line-sized scratch.
-fn apply_batch(
-    lines: &mut AtomGrid,
-    direction: Direction,
-    batch: &Batch,
-    moved: &mut Vec<u64>,
-    shifted: &mut Vec<u64>,
-) {
+/// pass's lines: on each of the batch's lines, the atoms under its union
+/// mask move one site along the line.
+fn apply_batch(lines: &mut AtomGrid, direction: Direction, batch: &Batch) {
     let width = lines.width();
     // East and south moves increase positions along the line.
     let up = matches!(direction, Direction::East | Direction::South);
     for &line in &batch.lines {
         let bits = lines.row_bits_mut(line);
-        moved.clear();
-        moved.extend(bits.iter().zip(&batch.union_mask).map(|(b, u)| b & u));
-        shifted.resize(moved.len(), 0);
         if up {
-            bitline::shift_up_one_into(moved, width, shifted);
+            shift_movers_up(bits, &batch.union_mask, width);
         } else {
-            bitline::shift_down_one_into(moved, shifted);
+            shift_movers_down(bits, &batch.union_mask);
         }
+    }
+}
+
+/// Moves the atoms of `bits` under `mask` one position toward higher
+/// indices, word by word, carrying the top mover of each word into the
+/// next. Bits at or above `width` stay clear.
+fn shift_movers_up(bits: &mut [u64], mask: &[u64], width: usize) {
+    let mut carry = 0u64;
+    for (b, &m) in bits.iter_mut().zip(mask) {
+        let moved = *b & m;
+        let shifted = (moved << 1) | carry;
+        carry = moved >> (bitline::WORD_BITS - 1);
+        debug_assert!(*b & !moved & shifted == 0, "merge emitted a colliding move");
+        *b = (*b & !moved) | shifted;
+    }
+    let last = bits.len() - 1;
+    let tail = width % bitline::WORD_BITS;
+    let kept = if tail == 0 {
+        u64::MAX
+    } else {
+        (1u64 << tail) - 1
+    };
+    debug_assert!(
+        carry == 0 && bits[last] & !kept == 0,
+        "merge pushed an atom out of bounds"
+    );
+    bits[last] &= kept;
+}
+
+/// Moves the atoms of `bits` under `mask` one position toward lower
+/// indices, word by word, carrying the bottom mover of each word into
+/// the one below.
+fn shift_movers_down(bits: &mut [u64], mask: &[u64]) {
+    let mut moved = bits[0] & mask[0];
+    debug_assert!(moved & 1 == 0, "merge pushed an atom out of bounds");
+    for i in 0..bits.len() {
+        // The next word is still unmodified here.
+        let next = bits.get(i + 1).map_or(0, |&b| b & mask[i + 1]);
+        let shifted = (moved >> 1) | (next << (bitline::WORD_BITS - 1));
         debug_assert!(
-            bits.iter()
-                .zip(moved.iter().zip(shifted.iter()))
-                .all(|(b, (m, s))| b & !m & s == 0),
+            bits[i] & !moved & shifted == 0,
             "merge emitted a colliding move"
         );
-        debug_assert_eq!(
-            bitline::count_ones(moved),
-            bitline::count_ones(shifted),
-            "merge pushed an atom out of bounds"
-        );
-        for (b, (m, s)) in bits.iter_mut().zip(moved.iter().zip(shifted.iter())) {
-            *b = (*b & !m) | s;
-        }
+        bits[i] = (bits[i] & !moved) | shifted;
+        moved = next;
     }
 }
 
@@ -339,6 +366,78 @@ mod tests {
     use crate::executor::Executor;
     use crate::kernel::{KernelConfig, KernelStrategy, ShiftKernel};
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The batch apply before the in-place rewrite: mask the movers
+    /// out, shift them with whole-line shifts, and merge them back.
+    fn apply_line_reference(bits: &mut [u64], mask: &[u64], width: usize, up: bool) {
+        let moved: Vec<u64> = bits.iter().zip(mask).map(|(b, m)| b & m).collect();
+        let mut shifted = vec![0u64; moved.len()];
+        if up {
+            bitline::shift_up_one_into(&moved, width, &mut shifted);
+        } else {
+            bitline::shift_down_one_into(&moved, &mut shifted);
+        }
+        for (b, (m, s)) in bits.iter_mut().zip(moved.iter().zip(&shifted)) {
+            *b = (*b & !m) | s;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn in_place_batch_apply_matches_whole_line_shifts(
+            height in 1usize..6,
+            width in 1usize..200,
+            direction in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let direction = [Direction::North, Direction::South, Direction::East, Direction::West][direction];
+            let up = matches!(direction, Direction::East | Direction::South);
+            let mut rng = seeded_rng(seed);
+            let words = bitline::words_for(width);
+            let mut union = vec![0u64; words];
+            for pos in 0..width {
+                bitline::set(&mut union, pos, rng.gen_bool(0.4));
+            }
+            // A legal batch: each line's movers lie under the union and
+            // never leave the line; its stationary atoms lie outside the
+            // union and off the movers' landing sites.
+            let mut grid = AtomGrid::new(height, width).unwrap();
+            for line in 0..height {
+                let mut movers = vec![0u64; words];
+                for pos in 0..width {
+                    let edge = if up { pos + 1 == width } else { pos == 0 };
+                    let keep = bitline::get(&union, pos) && !edge && rng.gen_bool(0.6);
+                    bitline::set(&mut movers, pos, keep);
+                }
+                let mut bits = movers.clone();
+                for pos in 0..width {
+                    let landing = if up {
+                        pos > 0 && bitline::get(&movers, pos - 1)
+                    } else {
+                        pos + 1 < width && bitline::get(&movers, pos + 1)
+                    };
+                    if !bitline::get(&union, pos) && !landing && rng.gen_bool(0.5) {
+                        bitline::set(&mut bits, pos, true);
+                    }
+                }
+                grid.set_row_bits(line, &bits);
+            }
+            let lines: Vec<usize> = (0..height).filter(|_| rng.gen_bool(0.7)).collect();
+            let mut expected = grid.clone();
+            for &line in &lines {
+                let mut bits = expected.row_bits(line).to_vec();
+                apply_line_reference(&mut bits, &union, width, up);
+                expected.set_row_bits(line, &bits);
+            }
+            let batch = Batch { lines, union_mask: union };
+            apply_batch(&mut grid, direction, &batch);
+            prop_assert_eq!(grid, expected);
+        }
+    }
 
     fn merge_random(
         size: usize,

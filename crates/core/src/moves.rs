@@ -65,6 +65,20 @@ impl ParallelMove {
         Ok(ParallelMove { rows, cols, dr, dc })
     }
 
+    /// [`new`](Self::new) for selections the caller has already sorted
+    /// and deduplicated, skipping the sort: the merge's hot path, whose
+    /// positions come from ascending bit scans. Debug builds check every
+    /// precondition `new` establishes or rejects.
+    pub(crate) fn from_sorted(rows: Vec<usize>, cols: Vec<usize>, dr: isize, dc: isize) -> Self {
+        debug_assert!(!rows.is_empty() && !cols.is_empty(), "empty selection");
+        debug_assert!(dr != 0 || dc != 0, "null move");
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]) && cols.windows(2).all(|w| w[0] < w[1]),
+            "selection not sorted and deduplicated"
+        );
+        ParallelMove { rows, cols, dr, dc }
+    }
+
     /// Convenience constructor for a single-atom move (one row, one col).
     ///
     /// # Errors

@@ -8,6 +8,7 @@
 //! Vector units apply the flips in hardware while streaming data in, and
 //! the movement-recording unit restores positions on the way out).
 
+use crate::bitline;
 use crate::error::Error;
 use crate::geometry::{Position, QuadrantId, Rect};
 use crate::grid::AtomGrid;
@@ -215,14 +216,12 @@ impl QuadrantMap {
         for (q, canon) in QuadrantId::ALL.iter().zip(recycled.iter_mut()) {
             canon.reshape(self.qh, self.qw);
             // canonical[(r, c)] == global[to_global(q, (r, c))] — the
-            // flip composition `split` applies, done point-wise.
+            // flip composition `split` applies, a row of words at a time:
+            // west quadrants read their half-row mirrored.
+            let col = if q.is_west() { 0 } else { self.qw };
             for r in 0..self.qh {
-                for c in 0..self.qw {
-                    let global = self.to_global(*q, Position::new(r, c));
-                    if grid.get_unchecked(global.row, global.col) {
-                        canon.set_unchecked(r, c, true);
-                    }
-                }
+                let src = grid.row_bits(self.global_row(*q, r));
+                bitline::copy_range(src, col, self.qw, q.is_west(), canon.row_bits_mut(r));
             }
         }
         Ok(recycled)
@@ -290,6 +289,7 @@ impl QuadrantMap {
 mod tests {
     use super::*;
     use crate::loading::seeded_rng;
+    use proptest::prelude::*;
 
     #[test]
     fn rejects_odd_and_zero() {
@@ -398,6 +398,26 @@ mod tests {
             let g = AtomGrid::random(12, 10, 0.5, &mut rng);
             recycled = m.split_into(&g, recycled).unwrap();
             assert_eq!(recycled, m.split(&g).unwrap());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn word_level_split_into_matches_split(
+            half_h in 1usize..100,
+            half_w in 1usize..100,
+            fill in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            // Half-widths up to 99 put quadrant rows, and the global
+            // rows they are read from, across word boundaries.
+            let mut rng = seeded_rng(seed);
+            let m = QuadrantMap::new(2 * half_h, 2 * half_w).unwrap();
+            let g = AtomGrid::random(2 * half_h, 2 * half_w, fill, &mut rng);
+            let stale = std::array::from_fn(|i| AtomGrid::random(i + 1, 70, 0.5, &mut rng));
+            prop_assert_eq!(m.split_into(&g, stale).unwrap(), m.split(&g).unwrap());
         }
     }
 

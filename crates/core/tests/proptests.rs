@@ -111,19 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn whole_line_shifts_are_inverse_up_to_edges((line, width) in arb_line()) {
-        // down(up(x)) == x when no bit falls off the top
-        let top_clear = bitline::highest_one(&line).is_none_or(|t| t + 1 < width);
-        if top_clear {
-            let mut up = vec![0u64; line.len()];
-            bitline::shift_up_one_into(&line, width, &mut up);
-            let mut back = vec![0u64; line.len()];
-            bitline::shift_down_one_into(&up, &mut back);
-            prop_assert_eq!(back, line);
-        }
-    }
-
-    #[test]
     fn range_mask_counts(words in 1usize..4, lo in 0usize..200, span in 0usize..200) {
         let hi = lo + span;
         let m = bitline::range_mask(words, lo, hi);

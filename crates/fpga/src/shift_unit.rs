@@ -26,7 +26,7 @@
 
 use qrm_core::bitline;
 use qrm_core::geometry::Axis;
-use qrm_core::kernel::{LocalPass, LocalShift, LocalWave};
+use qrm_core::kernel::{LocalPass, LocalShift};
 
 /// One line of work for a pass.
 #[derive(Debug, Clone)]
@@ -107,20 +107,7 @@ impl PassTrace {
     /// wave `k` holds the commands of scan position `k`, with trailing
     /// empty waves trimmed (identical to the software kernel).
     pub fn to_local_pass(&self) -> LocalPass {
-        let mut waves: Vec<LocalWave> = self
-            .commands
-            .iter()
-            .map(|shifts| LocalWave {
-                shifts: shifts.clone(),
-            })
-            .collect();
-        while waves.last().is_some_and(LocalWave::is_empty) {
-            waves.pop();
-        }
-        LocalPass {
-            axis: self.axis,
-            waves,
-        }
+        LocalPass::from_waves(self.axis, &self.commands)
     }
 }
 
@@ -405,8 +392,8 @@ mod tests {
         }];
         let trace = ShiftUnit::new(6).run(Axis::Row, &jobs);
         let pass = trace.to_local_pass();
-        for wave in &pass.waves {
-            for s in &wave.shifts {
+        for wave in pass.waves() {
+            for s in wave {
                 assert!((3..6).contains(&s.hole));
             }
         }

@@ -20,8 +20,12 @@
 //!   `Detector::detect` that changes one pixel, one decision or the
 //!   number of random draws fails here.
 //! * `service/…` hashes the JSON encodings of a `PlanService::submit`
-//!   response's `reports` and `trace` (never its `wall_us`) for the
-//!   `qrm` and `fpga` planners under every `Scenario` variant.
+//!   response's `reports` and `trace` (never its `wall_us`) for all
+//!   seven planners under every `Scenario` variant.
+//!
+//! The `kernel/…` family pins the per-quadrant kernel outcomes beneath
+//! the plans: every pass's axis and wave structure, the iteration count,
+//! the fill flag and the final quadrant grid.
 //!
 //! The fixture `tests/fixtures/known_answers.txt` was produced by
 //! [`regenerate_known_answers`] and frozen. Regenerating it is a
@@ -31,8 +35,11 @@
 use std::collections::BTreeMap;
 
 use atom_rearrange::prelude::*;
-use qrm_bench::{paper_instance, planner_matrix};
+use qrm_bench::{paper_instance, planner_choices, planner_matrix};
+use qrm_core::engine::decompose;
+use qrm_core::kernel::KernelOutcome;
 use qrm_core::scheduler::Plan;
+use qrm_fpga::qpm::{QpmConfig, QuadrantProcessor};
 use qrm_server::Scenario;
 use rand::RngCore;
 
@@ -84,6 +91,26 @@ impl Fnv64 {
         for r in 0..grid.height() {
             grid.row_bits(r).iter().for_each(|&w| self.u64(w));
         }
+    }
+
+    /// Per pass its axis, wave count and every wave's `(line, hole)`
+    /// list; then `iterations`, `filled` and the final grid's words.
+    fn kernel_outcome(&mut self, outcome: &KernelOutcome) {
+        self.usize(outcome.passes.len());
+        for pass in &outcome.passes {
+            self.bytes(&[u8::from(pass.axis == Axis::Col)]);
+            self.usize(pass.wave_count());
+            for wave in pass.waves() {
+                self.usize(wave.len());
+                for shift in wave {
+                    self.usize(shift.line);
+                    self.usize(shift.hole);
+                }
+            }
+        }
+        self.usize(outcome.iterations);
+        self.bytes(&[u8::from(outcome.filled)]);
+        self.grid(&outcome.final_grid);
     }
 }
 
@@ -179,6 +206,51 @@ fn accelerator_cases() -> Cases {
     cases
 }
 
+/// The wave structure of the per-quadrant kernel outcomes, which plan
+/// hashes see only through the merged schedule: `ShiftKernel::run` for
+/// every QRM configuration on paper-scale and small random instances,
+/// and the FPGA model's `QuadrantProcessor::process` for the paper
+/// accelerator. Each case hashes the four quadrants in
+/// `QuadrantId::ALL` order.
+fn kernel_cases() -> Cases {
+    let mut cases = Cases::new();
+    let paper: Vec<(AtomGrid, Rect)> = (0..16u64).map(|seed| paper_instance(50, seed)).collect();
+    let families = [
+        ("qrm50", paper),
+        ("qrm16", random_instances(16, 10, 1603, 8)),
+        ("qrm20", random_instances(20, 12, 2003, 8)),
+    ];
+    for (family, instances) in &families {
+        for (name, cfg) in qrm_configs() {
+            let planner = QrmScheduler::new(cfg);
+            for (i, (grid, target)) in instances.iter().enumerate() {
+                let (_, outcomes) = planner.quadrant_outcomes(grid, target).expect("kernel");
+                let mut h = Fnv64::new();
+                outcomes.iter().for_each(|o| h.kernel_outcome(o));
+                cases.insert(format!("kernel/{family}/{name}/{i}"), h.0);
+            }
+        }
+    }
+    let accel = AcceleratorConfig::paper();
+    for seed in 0..8u64 {
+        let (grid, target) = paper_instance(50, seed);
+        let work = decompose(&grid, &target).expect("decompose");
+        let qpm = QuadrantProcessor::new(QpmConfig {
+            target_height: work.target_height,
+            target_width: work.target_width,
+            iterations: accel.iterations,
+            strategy: accel.strategy,
+        });
+        let mut h = Fnv64::new();
+        for quadrant in &work.quadrants {
+            let report = qpm.process(quadrant).expect("qpm");
+            h.kernel_outcome(&report.outcome);
+        }
+        cases.insert(format!("kernel/qpm50/paper/{seed}"), h.0);
+    }
+    cases
+}
+
 /// Imaging regimes crossed with layouts: the pipeline's own geometry
 /// (pitch 6, margin 4) at two sizes, a fractional pitch and margin on a
 /// non-square array, and a zero margin whose PSF windows clip the frame
@@ -241,8 +313,8 @@ fn scenarios() -> [(&'static str, Scenario); 5] {
     ]
 }
 
-/// Traced `PlanService::submit` responses for the `qrm` and `fpga`
-/// planners: every scenario, three seeds, 16x16 arrays, two shots.
+/// Traced `PlanService::submit` responses for all seven planners:
+/// every scenario, three seeds, 16x16 arrays, two shots.
 /// Each case hashes the JSON encodings of `reports` and `trace`.
 fn service_cases() -> Cases {
     let base = PipelineConfig {
@@ -251,10 +323,7 @@ fn service_cases() -> Cases {
         max_rounds: 2,
         ..PipelineConfig::default()
     };
-    let planners = [
-        ("qrm", PlannerChoice::Software(QrmConfig::paper())),
-        ("fpga", PlannerChoice::Fpga(AcceleratorConfig::paper())),
-    ];
+    let planners = planner_choices();
     let mut builder = PlanService::builder();
     for (name, choice) in planners.clone() {
         builder = builder.register(name, choice, base.clone());
@@ -339,6 +408,11 @@ fn accelerator_schedules_match_known_answers() {
 }
 
 #[test]
+fn kernel_wave_structure_matches_known_answers() {
+    assert_known("kernel/", &kernel_cases());
+}
+
+#[test]
 fn imaging_frames_and_detections_match_known_answers() {
     assert_known("imaging/", &imaging_cases());
 }
@@ -358,6 +432,7 @@ fn regenerate_known_answers() {
     all.extend(random_qrm_cases());
     all.extend(planner_matrix_cases());
     all.extend(accelerator_cases());
+    all.extend(kernel_cases());
     all.extend(imaging_cases());
     all.extend(service_cases());
     let text: String = all
