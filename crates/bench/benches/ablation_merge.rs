@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_bench::paper_instance;
-use qrm_core::scheduler::{QrmConfig, QrmScheduler, Rearranger};
+use qrm_core::scheduler::{Planner, QrmConfig, QrmScheduler};
 
 fn bench_merge(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_merge_50x50");

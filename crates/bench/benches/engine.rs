@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrm_bench::engine_workload;
 use qrm_core::engine::PlanEngine;
-use qrm_core::scheduler::{QrmConfig, QrmScheduler, Rearranger};
+use qrm_core::scheduler::{Planner, QrmConfig, QrmScheduler};
 
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");

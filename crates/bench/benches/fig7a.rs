@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrm_bench::paper_instance;
-use qrm_core::scheduler::{QrmConfig, QrmScheduler, Rearranger};
+use qrm_core::scheduler::{Planner, QrmConfig, QrmScheduler};
 use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};
 
 fn bench_fig7a(c: &mut Criterion) {

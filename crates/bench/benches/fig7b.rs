@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_baselines::{Mta1Scheduler, PscaScheduler, TetrisScheduler};
 use qrm_bench::paper_instance;
-use qrm_core::scheduler::{QrmConfig, QrmScheduler, Rearranger};
+use qrm_core::scheduler::{Planner, QrmConfig, QrmScheduler};
 use qrm_core::typical::TypicalScheduler;
 use qrm_fpga::accelerator::{AcceleratorConfig, QrmAccelerator};
 

@@ -593,10 +593,9 @@ pub fn engine_workload(size: usize, shots: usize) -> Vec<(AtomGrid, Rect)> {
 /// A deliberately *skewed* batch for the dataflow-scheduler benchmark:
 /// every fourth shot (starting with shot 0, so the straggler leads the
 /// batch) is a `large x large` instance, the rest are `small x small`.
-/// Under the old stage barriers every small shot's round waited for
-/// the stragglers; the shot-level dataflow scheduler lets small shots
-/// run ahead, which `bench-trajectory` measures as the median per-shot
-/// completion time (`pipeline_skewed` vs `pipeline_skewed_barriered`).
+/// The shot-level dataflow scheduler lets small shots run ahead of the
+/// stragglers, which `bench-trajectory` measures as the median per-shot
+/// completion time (`pipeline_skewed`).
 pub fn skewed_workload(shots: usize, small: usize, large: usize) -> Vec<(AtomGrid, Rect)> {
     (0..shots)
         .map(|i| {

@@ -13,7 +13,7 @@ use rand::Rng;
 
 use qrm_baselines::{HybridScheduler, Mta1Scheduler, PscaScheduler, TetrisScheduler};
 use qrm_core::engine::dataflow::{DataflowStats, ShotProgram, ShotScheduler};
-use qrm_core::engine::{resolve_workers, shard_map_granular, ShardGranularity};
+use qrm_core::engine::resolve_workers;
 use qrm_core::error::Error;
 use qrm_core::executor::{CollisionPolicy, Executor};
 use qrm_core::geometry::Rect;
@@ -281,22 +281,19 @@ impl PipelineReport {
 }
 
 /// A batched run's reports plus its schedule diagnostics — what the
-/// instrumented entry points ([`Pipeline::run_batch_tracked`],
-/// [`Pipeline::run_shots_with`], [`Pipeline::run_shots_barriered`])
-/// return. The reports are bit-identical across entry points and worker
-/// counts; the diagnostics describe the particular schedule that
-/// produced them.
+/// instrumented entry points ([`Pipeline::run_batch_zones_tracked`],
+/// [`Pipeline::run_shots_with`]) return. The reports are bit-identical
+/// across entry points and worker counts; the diagnostics describe the
+/// particular schedule that produced them.
 #[derive(Debug, Clone)]
 pub struct BatchRun {
     /// Per-shot reports, in input order.
     pub reports: Vec<PipelineReport>,
-    /// Dataflow-scheduler counters (all zero for the barriered
-    /// baseline, which never overlaps rounds).
+    /// Dataflow-scheduler counters.
     pub stats: DataflowStats,
     /// Per-shot completion time in µs from batch start — the moment the
     /// runner knew the shot's report was final. The tail-latency
-    /// quantity the skewed-workload benchmark compares between the
-    /// dataflow schedule and the barriered baseline.
+    /// quantity the skewed-workload benchmark reports.
     pub completion_us: Vec<f64>,
     /// Per-shot replayable move traces, in input order — present iff
     /// the pipeline ran with
@@ -633,57 +630,8 @@ impl Pipeline {
         target: &Rect,
         base_seed: u64,
     ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_batch_with(&*self.planner(), truths, target, base_seed)
-    }
-
-    /// [`run_batch`](Self::run_batch) with a caller-owned planner
-    /// instead of resolving one from the configuration. Only
-    /// `config.planner` is ignored — everything else applies unchanged:
-    /// imaging, loss, and rounds as configured, and the dataflow
-    /// schedule still uses `config.workers` (the planner's own batch
-    /// worker count is whatever the caller resolved it with).
-    ///
-    /// This is the long-lived service entry point: a planning server
-    /// (`qrm_server`) resolves each registered [`PlannerChoice`] **once**
-    /// and reuses the instance across submissions, so every call plans
-    /// warm through the planner's internal context pool instead of
-    /// re-constructing planner state per batch. Reports are
-    /// bit-identical to [`run_batch`](Self::run_batch) with an
-    /// equivalently configured pipeline — planners carry no mutable
-    /// planning state across calls, only recycled allocations.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_batch_with(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        target: &Rect,
-        base_seed: u64,
-    ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_batch_tracked(planner, truths, target, base_seed)
-            .map(|run| run.reports)
-    }
-
-    /// [`run_batch_with`](Self::run_batch_with) returning the
-    /// schedule's diagnostics and per-shot completion times alongside
-    /// the reports — the planning service's entry point, which
-    /// aggregates the [`DataflowStats`] counters into its `/v1/stats`
-    /// wire surface.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_batch_tracked(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        target: &Rect,
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
         self.run_shots_iter(
-            planner,
+            &*self.planner(),
             truths.iter().map(|truth| {
                 (
                     truth,
@@ -692,14 +640,29 @@ impl Pipeline {
             }),
             base_seed,
         )
+        .map(|run| run.reports)
     }
 
-    /// [`run_batch_tracked`](Self::run_batch_tracked) against a
-    /// **multi-zone** target shared by every shot: the batched
-    /// counterpart of [`run_zones`](Self::run_zones), bit-identical to
-    /// running each shot alone through it. This is the scenario-aware
-    /// service entry point — zone lists and trace recording both flow
-    /// through here.
+    /// [`run_batch`](Self::run_batch) against a **multi-zone** target
+    /// shared by every shot, with a caller-owned planner, returning the
+    /// schedule's diagnostics and per-shot completion times alongside
+    /// the reports: the batched counterpart of
+    /// [`run_zones`](Self::run_zones), bit-identical to running each
+    /// shot alone through it. A single full-array zone is
+    /// byte-identical to [`run_batch`](Self::run_batch).
+    ///
+    /// Only `config.planner` is ignored — everything else applies
+    /// unchanged: imaging, loss, rounds and trace recording as
+    /// configured, and the dataflow schedule still uses
+    /// `config.workers` (the planner's own batch worker count is
+    /// whatever the caller resolved it with). This is the long-lived
+    /// service entry point: a planning server (`qrm_server`) resolves
+    /// each registered [`PlannerChoice`] **once** and reuses the
+    /// instance across submissions, so every call plans warm through
+    /// the planner's internal context pool, and aggregates the
+    /// [`DataflowStats`] counters into its `/v1/stats` wire surface.
+    /// Planners carry no mutable planning state across calls, only
+    /// recycled allocations, so reports do not depend on the reuse.
     ///
     /// # Errors
     ///
@@ -718,27 +681,14 @@ impl Pipeline {
         )
     }
 
-    /// Runs a **heterogeneous** batch: each shot brings its own true
-    /// occupancy *and its own target*, so deliberately imbalanced
-    /// workloads (the skewed benchmark: a few large arrays among many
-    /// small ones) go through the same dataflow schedule. Reports are
-    /// bit-identical to running each shot alone through
-    /// [`run`](Self::run) with its own target and derived RNG.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_batch`](Self::run_batch).
-    pub fn run_shots(
-        &self,
-        jobs: &[(AtomGrid, Rect)],
-        base_seed: u64,
-    ) -> Result<Vec<PipelineReport>, Error> {
-        self.run_shots_with(&*self.planner(), jobs, base_seed)
-            .map(|run| run.reports)
-    }
-
-    /// [`run_shots`](Self::run_shots) with a caller-owned planner,
-    /// returning schedule diagnostics and per-shot completion times.
+    /// Runs a **heterogeneous** batch with a caller-owned planner: each
+    /// shot brings its own true occupancy *and its own target*, so
+    /// deliberately imbalanced workloads (the skewed benchmark: a few
+    /// large arrays among many small ones) go through the same dataflow
+    /// schedule. Reports are bit-identical to running each shot alone
+    /// through [`run`](Self::run) with its own target and
+    /// [`shot_rng`](Self::shot_rng); the [`BatchRun`] adds schedule
+    /// diagnostics and per-shot completion times.
     ///
     /// # Errors
     ///
@@ -818,231 +768,6 @@ impl Pipeline {
         Ok(BatchRun {
             reports,
             stats,
-            completion_us,
-            traces,
-        })
-    }
-
-    /// The pre-dataflow baseline, preserved for measurement: the same
-    /// batch with the original **three stage barriers** per round —
-    /// observe all unfinished shots, plan them as one group, execute
-    /// them all — so a single slow shot stalls the whole round. Reports
-    /// are bit-identical to [`run_shots_with`](Self::run_shots_with)
-    /// (both equal the serial per-shot path); only the completion times
-    /// differ, which is exactly what the skewed-workload benchmark
-    /// measures. A shot's completion stamp is taken at the end of the
-    /// round barrier that finished it — the earliest a barriered runner
-    /// could have emitted the report — so the comparison is generous to
-    /// the baseline. The returned [`BatchRun::stats`] are zero: a
-    /// barriered schedule never overlaps rounds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planner and executor failures; among shots failing in
-    /// the same round and stage, the lowest-indexed shot's error is
-    /// returned.
-    pub fn run_shots_barriered(
-        &self,
-        planner: &dyn Planner,
-        jobs: &[(AtomGrid, Rect)],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_zones_barriered(
-            planner,
-            jobs.iter().map(|(truth, target)| {
-                (
-                    truth,
-                    vec![Zone::full_array(truth.height(), truth.width(), *target)],
-                )
-            }),
-            base_seed,
-        )
-    }
-
-    /// The barriered baseline against a **multi-zone** target shared by
-    /// every shot — the barriered counterpart of
-    /// [`run_batch_zones_tracked`](Self::run_batch_zones_tracked), with
-    /// the same report (and trace) bit-identity contract.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`run_shots_barriered`](Self::run_shots_barriered).
-    pub fn run_batch_zones_barriered(
-        &self,
-        planner: &dyn Planner,
-        truths: &[AtomGrid],
-        zones: &[Zone],
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        self.run_shots_zones_barriered(
-            planner,
-            truths.iter().map(|truth| (truth, zones.to_vec())),
-            base_seed,
-        )
-    }
-
-    fn run_shots_zones_barriered<'a>(
-        &self,
-        planner: &dyn Planner,
-        jobs: impl Iterator<Item = (&'a AtomGrid, Vec<Zone>)>,
-        base_seed: u64,
-    ) -> Result<BatchRun, Error> {
-        struct ShotState {
-            state: AtomGrid,
-            zones: Vec<Zone>,
-            rounds: Vec<RoundReport>,
-            trace: Option<ShotTrace>,
-            rng: StdRng,
-            layout: TrapLayout,
-            completed_us: Option<f64>,
-        }
-
-        let executor = planner
-            .executor()
-            .with_collision_policy(CollisionPolicy::Eject);
-        let workers = self.config.workers;
-        let started = Instant::now();
-        let stamp = |started: &Instant| started.elapsed().as_secs_f64() * 1e6;
-        let mut shots: Vec<ShotState> = jobs
-            .enumerate()
-            .map(|(i, (truth, zones))| ShotState {
-                layout: TrapLayout::new(truth.height(), truth.width(), self.config.pitch_px, 4.0),
-                state: truth.clone(),
-                zones,
-                rounds: Vec::new(),
-                trace: self.config.record_trace.then(ShotTrace::default),
-                rng: Self::shot_rng(base_seed, i),
-                completed_us: None,
-            })
-            .collect();
-
-        for _ in 0..self.config.max_rounds {
-            // Select the unfinished shots (cheap, serial) together with
-            // the zone each plans against this round, then image +
-            // detect each of them as a slot-indexed pool job.
-            let mut active: Vec<usize> = Vec::new();
-            let mut round_zones: Vec<(Zone, bool)> = Vec::new();
-            let mut to_observe: Vec<&mut ShotState> = Vec::new();
-            for (i, shot) in shots.iter_mut().enumerate() {
-                let Some(zone) = first_unfilled(&shot.state, &shot.zones)? else {
-                    if shot.completed_us.is_none() {
-                        shot.completed_us = Some(stamp(&started));
-                    }
-                    continue;
-                };
-                active.push(i);
-                round_zones.push((zone, zone.covers(&shot.state)));
-                to_observe.push(shot);
-            }
-            if active.is_empty() {
-                break;
-            }
-            let observed =
-                shard_map_granular(to_observe, workers, ShardGranularity::PerItem, |shot| {
-                    self.observe(&shot.state, &shot.layout, &mut shot.rng)
-                });
-            let mut round_jobs: Vec<(AtomGrid, Rect)> = Vec::with_capacity(active.len());
-            let mut fidelities: Vec<f64> = Vec::with_capacity(active.len());
-            for (result, &(zone, _)) in observed.into_iter().zip(&round_zones) {
-                let (detection, fidelity) = result?;
-                round_jobs.push(zone.plan_job(detection.grid)?);
-                fidelities.push(fidelity);
-            }
-
-            // One batched planning call covers the whole round.
-            let plans = planner.plan_batch(&round_jobs)?;
-
-            // Translate tile-frame schedules back to array coordinates
-            // (identity — and no copy — for full-array zones).
-            let translated: Vec<Option<qrm_core::schedule::Schedule>> = plans
-                .iter()
-                .zip(&round_zones)
-                .zip(&active)
-                .map(|((plan, &(zone, covers)), &i)| {
-                    (!covers).then(|| {
-                        translate_schedule(
-                            &plan.schedule,
-                            &zone.tile,
-                            shots[i].state.height(),
-                            shots[i].state.width(),
-                        )
-                    })
-                })
-                .collect();
-
-            // Execute per shot, again as slot-indexed pool jobs. The
-            // shots were only borrowed for observation, so re-borrow the
-            // active ones (in index order) alongside their schedules.
-            let mut to_execute: Vec<(&mut ShotState, &qrm_core::schedule::Schedule, f64)> =
-                Vec::with_capacity(active.len());
-            let mut round_inputs = plans
-                .iter()
-                .zip(&translated)
-                .map(|(plan, translated)| translated.as_ref().unwrap_or(&plan.schedule))
-                .zip(fidelities);
-            let mut remaining = active.iter().copied().peekable();
-            for (i, shot) in shots.iter_mut().enumerate() {
-                if remaining.peek() == Some(&i) {
-                    remaining.next();
-                    let (schedule, fidelity) =
-                        round_inputs.next().expect("one plan per active shot");
-                    to_execute.push((shot, schedule, fidelity));
-                }
-            }
-            let executed = shard_map_granular(
-                to_execute,
-                workers,
-                ShardGranularity::PerItem,
-                |(shot, schedule, detection_fidelity)| {
-                    let round = self.execute_round(
-                        &executor,
-                        &mut shot.state,
-                        &shot.zones,
-                        schedule,
-                        detection_fidelity,
-                        &mut shot.rng,
-                        shot.trace.as_mut(),
-                    )?;
-                    shot.rounds.push(round);
-                    Ok::<(), Error>(())
-                },
-            );
-            for result in executed {
-                result?;
-            }
-            // The execute barrier just closed: every shot this round
-            // finished is final now, so that is its completion time.
-            let round_end = stamp(&started);
-            for shot in shots.iter_mut() {
-                if shot.completed_us.is_none() && shot.rounds.last().is_some_and(|r| r.filled) {
-                    shot.completed_us = Some(round_end);
-                }
-            }
-        }
-
-        // Shots that exhausted the round budget complete with the batch.
-        let batch_end = stamp(&started);
-        let mut reports = Vec::with_capacity(shots.len());
-        let mut completion_us = Vec::with_capacity(shots.len());
-        let mut traces = self
-            .config
-            .record_trace
-            .then(|| Vec::with_capacity(shots.len()));
-        for shot in shots {
-            let filled = first_unfilled(&shot.state, &shot.zones)?.is_none();
-            completion_us.push(shot.completed_us.unwrap_or(batch_end));
-            if let Some(traces) = traces.as_mut() {
-                traces.push(shot.trace.unwrap_or_default());
-            }
-            reports.push(PipelineReport {
-                rounds: shot.rounds,
-                final_state: shot.state,
-                filled,
-            });
-        }
-        Ok(BatchRun {
-            reports,
-            stats: DataflowStats::default(),
             completion_us,
             traces,
         })

@@ -94,8 +94,15 @@ pub trait ShotProgram: Send {
 /// Scheduling diagnostics of one dataflow run. Counters describe the
 /// *schedule*, not the results: they vary with worker count and timing
 /// while the *reports* stay bit-identical.
+///
+/// Also the planning service's lifetime totals (`ServiceStats.scheduler`
+/// in `qrm_server`), folded batch by batch with
+/// [`absorb`](Self::absorb). On the wire that is an **additive** field:
+/// decoding a pre-dataflow snapshot (no `scheduler` key) yields all
+/// zeros rather than an error, per the `docs/PROTOCOL.md`
+/// schema-evolution rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct DataflowStats {
     /// Pool tasks the scheduler ran (observe + plan-group + execute).
     pub tasks_dispatched: u64,
@@ -122,6 +129,29 @@ impl DataflowStats {
         self.planned_shots += other.planned_shots;
         self.rounds_overlapped += other.rounds_overlapped;
         self.max_shot_lag = self.max_shot_lag.max(other.max_shot_lag);
+    }
+}
+
+// Hand-written (not derived) so a snapshot from a pre-dataflow peer —
+// whose `ServiceStats` has no `scheduler` key at all — decodes as
+// zeros instead of failing on the missing field. The derive would use
+// the default `deserialize_missing` (an error); overriding it is the
+// vendored-serde idiom for additive schema evolution.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for DataflowStats {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let map = value.as_map("DataflowStats")?;
+        Ok(DataflowStats {
+            tasks_dispatched: serde::field(map, "DataflowStats", "tasks_dispatched")?,
+            plan_groups: serde::field(map, "DataflowStats", "plan_groups")?,
+            planned_shots: serde::field(map, "DataflowStats", "planned_shots")?,
+            rounds_overlapped: serde::field(map, "DataflowStats", "rounds_overlapped")?,
+            max_shot_lag: serde::field(map, "DataflowStats", "max_shot_lag")?,
+        })
+    }
+
+    fn deserialize_missing(_ty: &str, _field: &str) -> Result<Self, serde::Error> {
+        Ok(DataflowStats::default())
     }
 }
 

@@ -10,9 +10,6 @@
 //! shared task-graph engine ([`crate::engine`]) on the persistent worker
 //! pool; everything else inherits the serial default and conforms
 //! unchanged.
-//!
-//! (This trait was previously named `Rearranger`; the old name remains
-//! re-exported from [`crate::scheduler`] as an alias.)
 
 use crate::error::Error;
 use crate::executor::Executor;

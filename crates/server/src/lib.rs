@@ -19,7 +19,7 @@
 //!   clients (threads)          qrm_server::PlanService
 //!   ───────────────────►  registry ─ admission gate ─ stats
 //!                                   │
-//!                          qrm_control::Pipeline::run_batch_with
+//!                          qrm_control::Pipeline::run_batch_zones_tracked
 //!                          (image → detect → plan → execute rounds)
 //!                                   │
 //!                          qrm_core::engine  (batched task graph,
@@ -83,6 +83,4 @@ mod stats;
 pub use cache::ResponseCache;
 pub use request::{BatchReport, BatchSpec, Scenario, ServiceError, SubmitBatch, Workload};
 pub use service::{PlanService, PlanServiceBuilder, ServiceConfig, DEFAULT_TRACE_EVENT_CAP};
-pub use stats::{
-    CacheStats, LatencyHistogram, NetStats, PlannerStats, SchedulerTotals, ServiceStats,
-};
+pub use stats::{CacheStats, LatencyHistogram, NetStats, PlannerStats, ServiceStats};

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use qrm_core::engine::dataflow::DataflowStats;
 use qrm_core::planner::Planner;
 use qrm_core::trace::ShotTrace;
 
@@ -13,7 +14,7 @@ use qrm_control::pipeline::{Pipeline, PipelineConfig, PlannerChoice};
 
 use crate::cache::ResponseCache;
 use crate::request::{BatchReport, ServiceError, SubmitBatch};
-use crate::stats::{LatencyHistogram, NetStats, PlannerStats, SchedulerTotals, ServiceStats};
+use crate::stats::{LatencyHistogram, NetStats, PlannerStats, ServiceStats};
 
 /// Service-level configuration (everything *not* per-planner).
 #[derive(Debug, Clone, Copy, Default)]
@@ -156,7 +157,7 @@ impl PlanServiceBuilder {
             },
             batches_served: AtomicU64::new(0),
             shots_served: AtomicU64::new(0),
-            scheduler: Mutex::new(SchedulerTotals::default()),
+            scheduler: Mutex::new(DataflowStats::default()),
             pool_baseline: rayon::global_pool_stats(),
         }
     }
@@ -271,7 +272,7 @@ pub struct PlanService {
     shots_served: AtomicU64,
     /// Lifetime dataflow-scheduler totals, folded in per batch under a
     /// short lock on the submit path.
-    scheduler: Mutex<SchedulerTotals>,
+    scheduler: Mutex<DataflowStats>,
     pool_baseline: rayon::PoolStats,
 }
 

@@ -10,6 +10,7 @@
 //! included — per-service attribution needs a process that serves
 //! nothing else.
 
+use qrm_core::engine::dataflow::DataflowStats;
 use qrm_core::engine::ContextPoolStats;
 
 /// Histogram buckets: bucket `i` counts latencies in
@@ -153,72 +154,6 @@ pub struct PlannerStats {
     pub contexts: Option<ContextPoolStats>,
 }
 
-/// Dataflow-scheduler counters aggregated across every batch the
-/// service has served — the wire-visible form of
-/// [`DataflowStats`](qrm_core::engine::dataflow::DataflowStats).
-/// `max_shot_lag` is the lifetime maximum; everything else is a sum.
-///
-/// The counters make scheduler health *observable*: a growing
-/// `rounds_overlapped` shows stragglers are being overlapped instead of
-/// stalling their batch, and `planned_shots / plan_groups` is the mean
-/// readiness-window plan-group size. They describe schedules, never
-/// results — reports stay bit-identical whatever these read.
-///
-/// On the wire this is an **additive** `ServiceStats` field: decoding a
-/// pre-dataflow snapshot (no `scheduler` key) yields all zeros rather
-/// than an error, per the `docs/PROTOCOL.md` schema-evolution rules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
-pub struct SchedulerTotals {
-    /// Pool tasks the shot scheduler dispatched (observe + plan-group
-    /// + execute).
-    pub tasks_dispatched: u64,
-    /// Plan-group tasks that planned at least one shot.
-    pub plan_groups: u64,
-    /// Shots planned across all groups.
-    pub planned_shots: u64,
-    /// Observations that started a round while a slower live shot was
-    /// still behind — the overlap a barriered schedule forbids.
-    pub rounds_overlapped: u64,
-    /// Largest round gap ever observed between the fastest and the
-    /// slowest live shot of a batch.
-    pub max_shot_lag: u64,
-}
-
-impl SchedulerTotals {
-    /// Folds one batch's scheduler counters into the lifetime totals.
-    pub fn absorb(&mut self, run: &qrm_core::engine::dataflow::DataflowStats) {
-        self.tasks_dispatched += run.tasks_dispatched;
-        self.plan_groups += run.plan_groups;
-        self.planned_shots += run.planned_shots;
-        self.rounds_overlapped += run.rounds_overlapped;
-        self.max_shot_lag = self.max_shot_lag.max(run.max_shot_lag);
-    }
-}
-
-// Hand-written (not derived) so a snapshot from a pre-dataflow peer —
-// whose `ServiceStats` has no `scheduler` key at all — decodes as
-// zeros instead of failing on the missing field. The derive would use
-// the default `deserialize_missing` (an error); overriding it is the
-// vendored-serde idiom for additive schema evolution.
-#[cfg(feature = "serde")]
-impl serde::Deserialize for SchedulerTotals {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map = value.as_map("SchedulerTotals")?;
-        Ok(SchedulerTotals {
-            tasks_dispatched: serde::field(map, "SchedulerTotals", "tasks_dispatched")?,
-            plan_groups: serde::field(map, "SchedulerTotals", "plan_groups")?,
-            planned_shots: serde::field(map, "SchedulerTotals", "planned_shots")?,
-            rounds_overlapped: serde::field(map, "SchedulerTotals", "rounds_overlapped")?,
-            max_shot_lag: serde::field(map, "SchedulerTotals", "max_shot_lag")?,
-        })
-    }
-
-    fn deserialize_missing(_ty: &str, _field: &str) -> Result<Self, serde::Error> {
-        Ok(SchedulerTotals::default())
-    }
-}
-
 /// Response-cache counters, the wire-visible snapshot of
 /// [`ResponseCache::stats`](crate::ResponseCache::stats).
 ///
@@ -227,7 +162,7 @@ impl serde::Deserialize for SchedulerTotals {
 /// cache (`budget_bytes == 0`, the default) reports all zeros.
 ///
 /// On the wire this is an **additive** `ServiceStats` field like
-/// [`SchedulerTotals`]: decoding a pre-cache snapshot (no `cache` key)
+/// [`DataflowStats`]: decoding a pre-cache snapshot (no `cache` key)
 /// yields all zeros rather than an error, per the `docs/PROTOCOL.md`
 /// schema-evolution rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -254,7 +189,7 @@ pub struct CacheStats {
     pub budget_bytes: u64,
 }
 
-// Hand-written for the same reason as `SchedulerTotals` above: a
+// Hand-written for the same reason as `DataflowStats`: a
 // snapshot from a pre-cache peer has no `cache` key, and must decode as
 // zeros instead of failing on the missing field.
 #[cfg(feature = "serde")]
@@ -291,7 +226,7 @@ impl serde::Deserialize for CacheStats {
 /// `closed_*` counters.
 ///
 /// On the wire this is an **additive** `ServiceStats` field like
-/// [`SchedulerTotals`] and [`CacheStats`]: decoding a pre-net snapshot
+/// [`DataflowStats`] and [`CacheStats`]: decoding a pre-net snapshot
 /// (no `net` key) yields all zeros rather than an error, per the
 /// `docs/PROTOCOL.md` schema-evolution rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -329,8 +264,8 @@ pub struct NetStats {
     pub closed_over_capacity: u64,
 }
 
-// Hand-written for the same reason as `SchedulerTotals` and
-// `CacheStats` above: a snapshot from a pre-net peer has no `net` key,
+// Hand-written for the same reason as `DataflowStats` and
+// `CacheStats`: a snapshot from a pre-net peer has no `net` key,
 // and must decode as zeros instead of failing on the missing field.
 #[cfg(feature = "serde")]
 impl serde::Deserialize for NetStats {
@@ -388,7 +323,7 @@ pub struct ServiceStats {
     /// Dataflow-scheduler totals across all served batches. Additive
     /// field: pre-dataflow decoders ignore the unknown key, and
     /// pre-dataflow snapshots decode here as zeros.
-    pub scheduler: SchedulerTotals,
+    pub scheduler: DataflowStats,
     /// Response-cache counters. Additive field, same rule: pre-cache
     /// decoders ignore the unknown key, and pre-cache snapshots decode
     /// here as zeros.

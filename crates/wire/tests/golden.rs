@@ -136,7 +136,7 @@ fn service_stats_v1_stays_decodable() {
     assert!(planner.contexts.is_some(), "QRM pools contexts");
     assert_eq!(
         stats.scheduler,
-        qrm_server::SchedulerTotals::default(),
+        qrm_core::engine::dataflow::DataflowStats::default(),
         "absent scheduler key must decode as zeros"
     );
 }

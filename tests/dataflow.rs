@@ -2,18 +2,18 @@
 //! scheduler (`qrm_core::engine::dataflow` driving
 //! `Pipeline::run_batch`).
 //!
-//! The scheduler replaces the old stage barriers: each shot advances
-//! through its own observe → plan → execute task chain, planning is
-//! group-formation on readiness, and a fast shot may run round `k + 1`
-//! while a slow shot is still planning round `k`. The determinism
-//! argument (docs/ARCHITECTURE.md, "Shot-level dataflow") is that
-//! per-shot RNG streams and the `plan_batch == mapped plan` planner
-//! contract make the schedule unobservable in the reports. This suite
-//! attacks that argument directly: it *injects stragglers* — forced
-//! stalls of chosen shots at chosen stages of chosen rounds, via the
-//! `test-hooks`-only `PipelineConfig::debug_stage_delay` — and asserts
-//! the reports stay bit-identical to the serial inline path for any
-//! delay placement and any worker count, for every planner.
+//! Each shot advances through its own observe → plan → execute task
+//! chain, planning is group-formation on readiness, and a fast shot may
+//! run round `k + 1` while a slow shot is still planning round `k`.
+//! The determinism argument (docs/ARCHITECTURE.md, "Shot-level
+//! dataflow") is that per-shot RNG streams and the `plan_batch ==
+//! mapped plan` planner contract make the schedule unobservable in the
+//! reports. This suite attacks that argument directly: it *injects
+//! stragglers* — forced stalls of chosen shots at chosen stages of
+//! chosen rounds, via the `test-hooks`-only
+//! `PipelineConfig::debug_stage_delay` — and asserts the reports stay
+//! bit-identical to the serial inline path for any delay placement and
+//! any worker count, for every planner.
 //!
 //! Run under `QRM_POOL_THREADS ∈ {2, 8}` by the CI `dataflow-stress`
 //! job, so real preemption gets a chance to reorder tasks too.
@@ -21,7 +21,7 @@
 use atom_rearrange::prelude::*;
 use proptest::prelude::*;
 use qrm_bench::planner_choices;
-use qrm_control::pipeline::{BatchRun, DelayStage, StageDelay};
+use qrm_control::pipeline::{BatchRun, DelayStage, StageDelay, Zone};
 
 fn truths(shots: usize, size: usize, fill: f64, seed: u64) -> Vec<AtomGrid> {
     let mut rng = qrm_core::loading::seeded_rng(seed);
@@ -129,11 +129,12 @@ proptest! {
     }
 }
 
-/// The preserved stage-barrier baseline and the dataflow scheduler
-/// agree bit-for-bit on heterogeneous per-shot targets (`run_shots`),
-/// the workload shape the skewed benchmark uses.
+/// The dataflow scheduler on heterogeneous per-shot targets
+/// (`run_shots_with`, the workload shape the skewed benchmark uses)
+/// agrees bit-for-bit with running each shot alone through the serial
+/// `run` loop with its derived RNG.
 #[test]
-fn barriered_and_dataflow_paths_agree_on_heterogeneous_shots() {
+fn dataflow_shots_match_serial_runs_on_heterogeneous_targets() {
     let mut rng = qrm_core::loading::seeded_rng(88);
     let jobs: Vec<(AtomGrid, Rect)> = [(16usize, 8usize), (12, 6), (16, 10), (12, 4)]
         .iter()
@@ -149,12 +150,16 @@ fn barriered_and_dataflow_paths_agree_on_heterogeneous_shots() {
     let pipeline = pipeline_for(&choice, 4, Vec::new());
 
     let dataflow: BatchRun = pipeline.run_shots_with(&*planner, &jobs, 909).unwrap();
-    let barriered: BatchRun = pipeline.run_shots_barriered(&*planner, &jobs, 909).unwrap();
-    assert_eq!(
-        dataflow.reports, barriered.reports,
-        "scheduler choice leaked into reports"
-    );
-    assert_eq!(dataflow.reports, pipeline.run_shots(&jobs, 909).unwrap());
+    assert_eq!(dataflow.reports.len(), jobs.len());
+    for (i, (truth, target)) in jobs.iter().enumerate() {
+        let single = pipeline
+            .run(truth, target, &mut Pipeline::shot_rng(909, i))
+            .unwrap();
+        assert_eq!(
+            dataflow.reports[i], single,
+            "shot {i}: scheduler leaked into reports"
+        );
+    }
 
     // Counter sanity: every shot was planned at least once, the task
     // count covers each shot's observe/plan/execute chain plus its
@@ -165,8 +170,6 @@ fn barriered_and_dataflow_paths_agree_on_heterogeneous_shots() {
     assert!(stats.tasks_dispatched > 2 * stats.planned_shots);
     assert_eq!(dataflow.completion_us.len(), jobs.len());
     assert!(dataflow.completion_us.iter().all(|&us| us > 0.0));
-    // The barriered baseline reports no scheduler activity.
-    assert_eq!(barriered.stats.tasks_dispatched, 0);
 }
 
 /// At one worker the scheduler takes the inline path: singleton plan
@@ -178,8 +181,9 @@ fn inline_path_plans_singleton_groups() {
     let (_, choice) = planner_choices().remove(0);
     let pipeline = pipeline_for(&choice, 1, Vec::new());
     let planner = choice.resolve(1);
+    let zones = [Zone::full_array(12, 12, target)];
     let run = pipeline
-        .run_batch_tracked(&*planner, &truths, &target, 33)
+        .run_batch_zones_tracked(&*planner, &truths, &zones, 33)
         .unwrap();
     assert_eq!(run.stats.plan_groups, run.stats.planned_shots);
     assert!(run.stats.plan_groups >= truths.len() as u64);

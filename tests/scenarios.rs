@@ -4,8 +4,8 @@
 //! Every [`Scenario`] variant — uniform fill, defect maps, elevated
 //! atom loss, multi-zone target lattices, spatially correlated fills —
 //! must produce **bit-identical** reports across batch worker counts
-//! {1, 2, 4, 8}, across the shot-level dataflow scheduler vs the
-//! preserved stage-barrier baseline, and across HTTP vs in-process
+//! {1, 2, 4, 8}, across the shot-level dataflow scheduler vs the serial
+//! per-shot loop (`Pipeline::run_zones`), and across HTTP vs in-process
 //! submission, for all seven planners. (CI runs this suite under
 //! `QRM_POOL_THREADS ∈ {1, 8}`, covering the pool dimension too.)
 //!
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use qrm_bench::planner_choices;
-use qrm_control::pipeline::{BatchRun, Pipeline, PipelineConfig, PlannerChoice};
+use qrm_control::pipeline::{BatchRun, Pipeline, PipelineConfig, PipelineReport, PlannerChoice};
 use qrm_core::trace::TraceReplayer;
 use qrm_server::{BatchSpec, Scenario, SubmitBatch};
 
@@ -76,19 +76,29 @@ fn direct(choice: &PlannerChoice, workers: usize, spec: &BatchSpec, trace: bool)
         .expect("scenario batch")
 }
 
-/// Same spec, same overrides, through the stage-barrier baseline.
-fn barriered(choice: &PlannerChoice, workers: usize, spec: &BatchSpec) -> BatchRun {
+/// Same spec, same overrides, through the serial reference loop: each
+/// shot alone through `run_zones` with its derived RNG — a code path
+/// that shares no scheduling with the batched one.
+fn per_shot(choice: &PlannerChoice, workers: usize, spec: &BatchSpec) -> Vec<PipelineReport> {
     let workload = spec.workload().expect("scenario workload");
-    let config = workload.configure(&base_config(choice.clone(), workers));
-    let planner = config.planner.resolve(config.workers);
-    Pipeline::new(config)
-        .run_batch_zones_barriered(&*planner, &workload.truths, &workload.zones, spec.seed)
-        .expect("barriered scenario batch")
+    let pipeline = Pipeline::new(workload.configure(&base_config(choice.clone(), workers)));
+    workload
+        .truths
+        .iter()
+        .enumerate()
+        .map(|(i, truth)| {
+            let mut rng = Pipeline::shot_rng(spec.seed, i);
+            let (report, _) = pipeline
+                .run_zones(truth, &workload.zones, &mut rng)
+                .expect("serial scenario shot");
+            report
+        })
+        .collect()
 }
 
 /// The leg's core claim: for every scenario variant and every planner,
-/// reports are bit-identical across workers ∈ {1, 2, 4, 8} and across
-/// the dataflow vs barriered schedules.
+/// reports are bit-identical across workers ∈ {1, 2, 4, 8} and equal,
+/// shot by shot, to the serial per-shot loop.
 #[test]
 fn every_scenario_is_bit_identical_across_workers_and_schedules() {
     for (label, scenario) in variants() {
@@ -102,11 +112,13 @@ fn every_scenario_is_bit_identical_across_workers_and_schedules() {
                     "{name}/{label}: workers={workers} diverged from serial"
                 );
             }
-            for workers in [1usize, 4] {
-                let run = barriered(&choice, workers, &spec);
+            let run = direct(&choice, 4, &spec, false);
+            let serial = per_shot(&choice, 4, &spec);
+            assert_eq!(run.reports.len(), serial.len());
+            for (i, (batched, single)) in run.reports.iter().zip(&serial).enumerate() {
                 assert_eq!(
-                    run.reports, baseline.reports,
-                    "{name}/{label}: barriered workers={workers} diverged"
+                    batched, single,
+                    "{name}/{label}: shot {i} diverged from the per-shot run_zones loop"
                 );
             }
         }
