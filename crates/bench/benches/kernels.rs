@@ -2,8 +2,7 @@
 //! single kernel pass, the cycle-accurate shift-unit simulation at the
 //! headline quadrant size (Qw = 25), the 50x50 grid transpose, the
 //! cross-quadrant merge of one 50x50 paper instance and the whole paper
-//! plan of it, and the synthetic imaging of that instance (frame
-//! rendering and atom detection, default imaging regime).
+//! plan of it. The imaging stages have their own bench, `imaging`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qrm_core::bitline;
@@ -16,7 +15,6 @@ use qrm_core::merge::{merge_outcomes, MergeConfig};
 use qrm_core::planner::Planner;
 use qrm_core::scheduler::{QrmConfig, QrmScheduler};
 use qrm_fpga::shift_unit::{LineJob, ShiftUnit};
-use qrm_vision::prelude::{render, Detector, ImagingConfig, TrapLayout};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
@@ -83,18 +81,6 @@ fn bench_kernels(c: &mut Criterion) {
     // the whole paper plan of the same instance: split, kernels, merge
     let planner = QrmScheduler::new(QrmConfig::paper());
     group.bench_function("plan_paper_50", |b| b.iter(|| planner.plan(&grid, &target)));
-
-    // one camera frame of the same instance, at the pipeline's geometry
-    let layout = TrapLayout::new(50, 50, 6.0, 4.0);
-    let imaging = ImagingConfig::default();
-    let mut frame_rng = seeded_rng(2);
-    group.bench_function("vision_render_50", |b| {
-        b.iter(|| render(&grid, &layout, &imaging, &mut frame_rng))
-    });
-    let frame = render(&grid, &layout, &imaging, &mut seeded_rng(2));
-    group.bench_function("vision_detect_50", |b| {
-        b.iter(|| Detector::default().detect(&frame, &layout))
-    });
 
     group.finish();
 }

@@ -303,6 +303,20 @@ impl KernelScratch {
 pub struct PassScratch {
     view: AtomGrid,
     log: ShiftLog,
+    windows: Windows,
+}
+
+/// The `(floor, limit)` windows of an iteration's two passes, and the
+/// balanced row planner's working buffers, kept across iterations and
+/// runs so planning the windows does not allocate once warm.
+#[derive(Debug, Clone, Default)]
+struct Windows {
+    rows: Vec<(usize, usize)>,
+    cols: Vec<(usize, usize)>,
+    /// Projected atom supply per target column.
+    supply: Vec<usize>,
+    /// One row's words, shifted by the simulated pass.
+    line: Vec<u64>,
 }
 
 /// The shifts of one pass in the order they fire (line-major), and a
@@ -349,6 +363,7 @@ impl PassScratch {
         PassScratch {
             view: AtomGrid::new(1, 1).expect("1x1 placeholder grid"),
             log: ShiftLog::default(),
+            windows: Windows::default(),
         }
     }
 }
@@ -506,22 +521,25 @@ impl ShiftKernel {
         let (qh, qw) = state.grid.dims();
         let (th, tw) = (self.config.target_height, self.config.target_width);
         state.iterations += 1;
-        let row_limits = plan_row_windows(&state.grid, self.config.strategy, th, tw);
+        let strategy = self.config.strategy;
+        let mut windows = std::mem::take(&mut state.scratch.windows);
+        row_windows_into(&state.grid, strategy, th, tw, &mut windows);
         let row_pass = run_pass_in(
             &mut state.grid,
             Axis::Row,
-            &row_limits,
+            &windows.rows,
             self.config.row_enable.as_deref(),
             &mut state.scratch,
         );
-        let col_limits = plan_col_windows(self.config.strategy, qh, qw, th, tw);
+        col_windows_into(strategy, qh, qw, th, tw, &mut windows.cols);
         let col_pass = run_pass_in(
             &mut state.grid,
             Axis::Col,
-            &col_limits,
+            &windows.cols,
             self.config.col_enable.as_deref(),
             &mut state.scratch,
         );
+        state.scratch.windows = windows;
         let progressed = row_pass.shift_count() + col_pass.shift_count() > 0;
         state.passes.push(row_pass);
         state.passes.push(col_pass);
@@ -593,49 +611,69 @@ pub fn plan_row_windows(
     th: usize,
     tw: usize,
 ) -> Vec<(usize, usize)> {
+    let mut windows = Windows::default();
+    row_windows_into(grid, strategy, th, tw, &mut windows);
+    windows.rows
+}
+
+/// [`plan_row_windows`] into `windows.rows`, reusing its buffers.
+fn row_windows_into(
+    grid: &AtomGrid,
+    strategy: KernelStrategy,
+    th: usize,
+    tw: usize,
+    windows: &mut Windows,
+) {
     let (qh, qw) = grid.dims();
-    {
-        match strategy {
-            KernelStrategy::Greedy => vec![(0, qw); qh],
-            KernelStrategy::GreedyTargetOnly => vec![(0, tw); qh],
-            KernelStrategy::Balanced => {
-                // Live supply per target column: every atom already in
-                // column c can be drained into the target band by the
-                // vertical pass, so a column is satisfied once its total
-                // supply reaches the target height.
-                let mut supply: Vec<usize> = (0..tw).map(|c| grid.col_count(c)).collect();
-                let mut limits = vec![(0, tw); qh];
-                #[allow(clippy::needless_range_loop)] // r indexes both limits and grid rows
-                for r in 0..qh {
-                    let floor = best_floor(grid.row_bits(r), &supply, th, tw);
-                    let limit = if r < th { tw } else { qw };
-                    limits[r] = (floor.min(limit), limit);
-                    // Simulate this row's single-traversal pass to keep
-                    // the supply projection accurate for the remaining
-                    // rows (same semantics as `run_pass`).
-                    let mut bits = grid.row_bits(r).to_vec();
-                    let before = bitline::ones(&bits, qw);
-                    for k in floor.min(limit)..limit {
-                        if !bitline::get(&bits, k)
-                            && bitline::highest_one(&bits).is_some_and(|top| top > k)
-                        {
-                            bitline::suffix_shift(&mut bits, k, qw);
-                        }
-                    }
-                    let after = bitline::ones(&bits, qw);
-                    for p in before {
-                        if p < tw {
-                            supply[p] -= 1;
-                        }
-                    }
-                    for p in after {
-                        if p < tw {
-                            supply[p] += 1;
-                        }
+    let limits = &mut windows.rows;
+    limits.clear();
+    match strategy {
+        KernelStrategy::Greedy => limits.resize(qh, (0, qw)),
+        KernelStrategy::GreedyTargetOnly => limits.resize(qh, (0, tw)),
+        KernelStrategy::Balanced => {
+            // Live supply per target column: every atom already in
+            // column c can be drained into the target band by the
+            // vertical pass, so a column is satisfied once its total
+            // supply reaches the target height.
+            let supply = &mut windows.supply;
+            supply.clear();
+            supply.extend((0..tw).map(|c| grid.col_count(c)));
+            let line = &mut windows.line;
+            for r in 0..qh {
+                let floor = best_floor(grid.row_bits(r), supply, th, tw);
+                let limit = if r < th { tw } else { qw };
+                limits.push((floor.min(limit), limit));
+                // Simulate this row's single-traversal pass to keep
+                // the supply projection accurate for the remaining
+                // rows (same semantics as `run_pass`).
+                line.clear();
+                line.extend_from_slice(grid.row_bits(r));
+                for k in floor.min(limit)..limit {
+                    if !bitline::get(line, k)
+                        && bitline::highest_one(line).is_some_and(|top| top > k)
+                    {
+                        bitline::suffix_shift(line, k, qw);
                     }
                 }
-                limits
+                for_each_one_below(grid.row_bits(r), tw, |p| supply[p] -= 1);
+                for_each_one_below(line, tw, |p| supply[p] += 1);
             }
+        }
+    }
+}
+
+/// Calls `f` on every set bit of `words` below `end`, in ascending
+/// order; [`bitline::ones`] without the vector.
+fn for_each_one_below(words: &[u64], end: usize, mut f: impl FnMut(usize)) {
+    for (i, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let p = i * bitline::WORD_BITS + rest.trailing_zeros() as usize;
+            if p >= end {
+                return;
+            }
+            f(p);
+            rest &= rest - 1;
         }
     }
 }
@@ -647,12 +685,12 @@ pub fn plan_row_windows(
 /// Returns `tw` (hold the reserve right of the band) when the row cannot
 /// serve any deficit.
 fn best_floor(bits: &[u64], supply: &[usize], th: usize, tw: usize) -> usize {
-    let deficient: Vec<bool> = supply.iter().map(|&s| s < th).collect();
+    let deficient = |c: usize| supply[c] < th;
     let Some(top) = bitline::highest_one(bits) else {
         return tw; // empty row: window is irrelevant
     };
     // Rightmost deficit this row can reach with at least one atom.
-    let Some(rd) = (0..tw).rev().find(|&c| deficient[c] && top >= c) else {
+    let Some(rd) = (0..tw).rev().find(|&c| deficient(c) && top >= c) else {
         return tw;
     };
     // Evaluate candidate floors: a pile anchored at `floor` holds the
@@ -667,7 +705,7 @@ fn best_floor(bits: &[u64], supply: &[usize], th: usize, tw: usize) -> usize {
             continue;
         }
         let hi = (floor + n).min(tw);
-        let cover = (floor..hi).filter(|&c| deficient[c]).count();
+        let cover = (floor..hi).filter(|&c| deficient(c)).count();
         if cover > 0 && cover >= best_cover {
             best_cover = cover;
             best = floor;
@@ -687,16 +725,31 @@ pub fn plan_col_windows(
     th: usize,
     tw: usize,
 ) -> Vec<(usize, usize)> {
+    let mut limits = Vec::new();
+    col_windows_into(strategy, qh, qw, th, tw, &mut limits);
+    limits
+}
+
+/// [`plan_col_windows`] into `limits`, reusing its buffer.
+fn col_windows_into(
+    strategy: KernelStrategy,
+    qh: usize,
+    qw: usize,
+    th: usize,
+    tw: usize,
+    limits: &mut Vec<(usize, usize)>,
+) {
+    limits.clear();
     match strategy {
-        KernelStrategy::Greedy => vec![(0, qh); qw],
+        KernelStrategy::Greedy => limits.resize(qw, (0, qh)),
         // Only fill holes inside the target band of rows; atoms above
         // still ride the suffix down into them.
-        KernelStrategy::GreedyTargetOnly => vec![(0, th); qw],
+        KernelStrategy::GreedyTargetOnly => limits.resize(qw, (0, th)),
         // Drain only target columns; columns right of the band keep
         // their parked reserve for later horizontal passes.
-        KernelStrategy::Balanced => (0..qw)
-            .map(|c| if c < tw { (0, th) } else { (0, 0) })
-            .collect(),
+        KernelStrategy::Balanced => {
+            limits.extend((0..qw).map(|c| if c < tw { (0, th) } else { (0, 0) }));
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 //! a precomputed stamp per sub-pixel centre offset (see `PsfStamps`)
 //! rather than an `exp` per pixel per atom; the stamp holds exactly the
 //! values the per-pixel expression gives, so frames are bit-identical to
-//! the direct evaluation. What remains per frame is the noise: one
-//! Poisson and one Gaussian variate per pixel, whose consumption of the
-//! RNG stream is fixed (see [`crate::noise`]).
+//! the direct evaluation. Every noise variate is keyed by the frame key,
+//! its domain and its trap or pixel index (see [`crate::noise`]), so a
+//! pixel's value does not depend on the order pixels are visited.
 
 use std::collections::HashMap;
 
@@ -16,7 +16,7 @@ use rand::Rng;
 use qrm_core::grid::AtomGrid;
 
 use crate::layout::TrapLayout;
-use crate::noise::{standard_normal, Poisson};
+use crate::noise::{Domain, NoiseStream, Poisson};
 
 /// Physical parameters of the imaging model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,11 +121,17 @@ impl FluorescenceImage {
 /// over a Gaussian PSF; background photons and Gaussian read noise are
 /// added per pixel.
 ///
-/// Draw order is fixed: one photon count per occupied trap in row-major
-/// trap order, then one background count and one read-noise variate per
-/// pixel in row-major pixel order. The frame and the generator's state
-/// afterwards are part of the contract — the same inputs and RNG state
-/// always give the same pixel bits and leave the same stream behind.
+/// `render` draws exactly one `u64` from `rng`, the frame key; every
+/// variate of the frame is then a function of the key, its
+/// [`Domain`] and its index (imaging model
+/// [`IMAGING_MODEL_VERSION`](crate::IMAGING_MODEL_VERSION)). Trap `t`
+/// (row-major) emits `Poisson(photons_per_atom)` photons at index `t` of
+/// the trap-photon stream; pixel `i` (row-major) adds
+/// `Poisson(background_per_px)` at index `i` of the background stream
+/// and `read_noise` times the `i % 2` variate of the read-noise pair at
+/// index `i / 2`. Spots are summed into each pixel in row-major trap
+/// order, then the noise is added in `f64` and the result clamped at
+/// zero.
 pub fn render<R: Rng + ?Sized>(
     truth: &AtomGrid,
     layout: &TrapLayout,
@@ -137,24 +143,43 @@ pub fn render<R: Rng + ?Sized>(
         truth.dims(),
         "layout does not match grid"
     );
+    render_keyed(truth, layout, config, rng.next_u64())
+}
+
+/// [`render`] after the key draw. Not generic, so the samplers inline
+/// here rather than being called per pixel from the caller's crate.
+fn render_keyed(
+    truth: &AtomGrid,
+    layout: &TrapLayout,
+    config: &ImagingConfig,
+    key: u64,
+) -> FluorescenceImage {
     let (h, w) = layout.image_dims();
     let mut img = FluorescenceImage::new(h, w);
 
     // Atom spots.
     let mut psf = PsfStamps::new(config.psf_sigma_px);
     let atom_photons = Poisson::new(config.photons_per_atom);
+    let trap_stream = NoiseStream::new(key, Domain::TrapPhotons);
     for p in truth.occupied() {
         let (cy, cx) = layout.center(p.row, p.col);
-        let photons = atom_photons.sample(rng) as f64;
+        let trap = (p.row * layout.cols() + p.col) as u64;
+        let photons = atom_photons.sample(trap_stream, trap) as f64;
         psf.deposit(&mut img, cy, cx, photons);
     }
 
-    // Background + read noise.
+    // Background + read noise, two pixels per read-noise pair.
     let background = Poisson::new(config.background_per_px);
-    for px in img.pixels.iter_mut() {
-        let bg = background.sample(rng) as f64;
-        let read = config.read_noise * standard_normal(rng);
-        *px = (*px as f64 + bg + read).max(0.0) as f32;
+    let background_stream = NoiseStream::new(key, Domain::Background);
+    let read_stream = NoiseStream::new(key, Domain::ReadNoise);
+    for (pair, pixels) in img.pixels.chunks_mut(2).enumerate() {
+        let (z0, z1) = read_stream.normal_pair(pair as u64);
+        for (offset, (px, z)) in pixels.iter_mut().zip([z0, z1]).enumerate() {
+            let index = (2 * pair + offset) as u64;
+            let bg = background.sample(background_stream, index) as f64;
+            let read = config.read_noise * z;
+            *px = (*px as f64 + bg + read).max(0.0) as f32;
+        }
     }
     img
 }
@@ -232,47 +257,134 @@ impl PsfStamps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::poisson_reference;
     use proptest::prelude::*;
     use qrm_core::loading::seeded_rng;
+    use rand::RngCore;
 
-    /// The direct renderer `render` replaced: an `exp` per pixel per
-    /// atom through the bounds-checked accessor, and the one-shot
-    /// Poisson sampler. `render` must match it bit for bit, RNG state
-    /// included.
+    /// Imaging model v2's variates as `docs/PROTOCOL.md` specifies them,
+    /// written out independently of [`crate::noise`]: a change to the
+    /// key, domain or index mixing there fails the reference test.
+    mod spec {
+        use crate::noise::Poisson;
+
+        const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+        pub const TRAP_PHOTONS: u64 = 0x7472_6170_7068_6f74;
+        pub const BACKGROUND: u64 = 0x6261_636b_6772_6e64;
+        pub const READ_NOISE: u64 = 0x7265_6164_6e6f_6973;
+
+        fn finalize(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// The bits of `(key, salt, index, attempt)`.
+        fn bits(key: u64, salt: u64, index: u64, attempt: u64) -> u64 {
+            let seed = finalize(key ^ salt);
+            let first = finalize(seed.wrapping_add((index + 1).wrapping_mul(GAMMA)));
+            if attempt == 0 {
+                first
+            } else {
+                finalize(first.wrapping_add(attempt.wrapping_mul(GAMMA)))
+            }
+        }
+
+        pub fn normal_pair(key: u64, salt: u64, index: u64) -> (f64, f64) {
+            let half = |h: u64| (h as f64 + 0.5) / 2f64.powi(31) - 1.0;
+            (0..)
+                .find_map(|attempt| {
+                    let b = bits(key, salt, index, attempt);
+                    let (u, v) = (half(b >> 32), half(b & 0xffff_ffff));
+                    let s = u * u + v * v;
+                    (s < 1.0).then(|| {
+                        let scale = (-2.0 * s.ln() / s).sqrt();
+                        (u * scale, v * scale)
+                    })
+                })
+                .expect("some attempt lands in the disc")
+        }
+
+        /// A Poisson variate: a linear search of the sampler's
+        /// inverse-CDF thresholds below 30, the clamped normal
+        /// approximation above.
+        pub fn poisson(sampler: &Poisson, lambda: f64, key: u64, salt: u64, index: u64) -> f64 {
+            if lambda >= 30.0 {
+                let (z, _) = normal_pair(key, salt, index);
+                return (lambda + lambda.sqrt() * z).max(0.0).round();
+            }
+            let u = bits(key, salt, index, 0) >> 11;
+            sampler.thresholds().iter().take_while(|&&t| u < t).count() as f64
+        }
+    }
+
+    /// Every pixel evaluated on its own, in a shuffled order: the spots
+    /// of the traps whose PSF window covers it (direct `exp` per pixel,
+    /// summed in row-major trap order), then its background and read
+    /// noise. `render` must match it bit for bit and leave `rng` where
+    /// this leaves it.
     fn render_reference<R: Rng + ?Sized>(
         truth: &AtomGrid,
         layout: &TrapLayout,
         config: &ImagingConfig,
         rng: &mut R,
+        order_seed: u64,
     ) -> FluorescenceImage {
+        let key = rng.next_u64();
         let (h, w) = layout.image_dims();
-        let mut img = FluorescenceImage::new(h, w);
         let reach = (4.0 * config.psf_sigma_px).ceil() as isize;
         let sigma2 = config.psf_sigma_px * config.psf_sigma_px;
         let norm = 1.0 / (2.0 * std::f64::consts::PI * sigma2);
-        for p in truth.occupied() {
-            let (cy, cx) = layout.center(p.row, p.col);
-            let photons = poisson_reference(config.photons_per_atom, rng) as f64;
-            let iy = cy.round() as isize;
-            let ix = cx.round() as isize;
-            for dy in -reach..=reach {
-                for dx in -reach..=reach {
-                    let (y, x) = (iy + dy, ix + dx);
-                    if y < 0 || x < 0 || y as usize >= h || x as usize >= w {
+        let atoms = Poisson::new(config.photons_per_atom);
+        let background = Poisson::new(config.background_per_px);
+        let centre = |line: usize| layout.center(line, line).0;
+        // The trap rows (columns) whose window reaches pixel row y (x).
+        let near = |pixel: usize, lines: usize| -> Vec<usize> {
+            (0..lines)
+                .filter(|&l| (pixel as isize - centre(l).round() as isize).abs() <= reach)
+                .collect()
+        };
+        let near_rows: Vec<Vec<usize>> = (0..h).map(|y| near(y, layout.rows())).collect();
+        let near_cols: Vec<Vec<usize>> = (0..w).map(|x| near(x, layout.cols())).collect();
+
+        let mut order: Vec<usize> = (0..h * w).collect();
+        let mut shuffle = seeded_rng(order_seed);
+        for i in (1..order.len()).rev() {
+            order.swap(i, shuffle.gen_range(0..i + 1));
+        }
+        let mut img = FluorescenceImage::new(h, w);
+        for i in order {
+            let (y, x) = (i / w, i % w);
+            let mut spots = 0.0f32;
+            for &r in &near_rows[y] {
+                for &c in &near_cols[x] {
+                    if !truth.get_unchecked(r, c) {
                         continue;
                     }
-                    let fy = y as f64 - cy;
-                    let fx = x as f64 - cx;
+                    let (cy, cx) = layout.center(r, c);
+                    let trap = (r * layout.cols() + c) as u64;
+                    let photons = spec::poisson(
+                        &atoms,
+                        config.photons_per_atom,
+                        key,
+                        spec::TRAP_PHOTONS,
+                        trap,
+                    );
+                    let (fy, fx) = (y as f64 - cy, x as f64 - cx);
                     let weight = norm * (-(fy * fy + fx * fx) / (2.0 * sigma2)).exp();
-                    *img.at_mut(y as usize, x as usize) += (photons * weight) as f32;
+                    spots += (photons * weight) as f32;
                 }
             }
-        }
-        for px in img.pixels.iter_mut() {
-            let bg = poisson_reference(config.background_per_px, rng) as f64;
-            let read = config.read_noise * standard_normal(rng);
-            *px = (*px as f64 + bg + read).max(0.0) as f32;
+            let bg = spec::poisson(
+                &background,
+                config.background_per_px,
+                key,
+                spec::BACKGROUND,
+                i as u64,
+            );
+            let pair = spec::normal_pair(key, spec::READ_NOISE, (i / 2) as u64);
+            let z = if i % 2 == 0 { pair.0 } else { pair.1 };
+            let read = config.read_noise * z;
+            *img.at_mut(y, x) = (spots as f64 + bg + read).max(0.0) as f32;
         }
         img
     }
@@ -316,9 +428,26 @@ mod tests {
             let truth = AtomGrid::random(rows, cols, fill, &mut rng);
             let mut reference_rng = rng.clone();
             let frame = render(&truth, &layout, &config, &mut rng);
-            let expected = render_reference(&truth, &layout, &config, &mut reference_rng);
+            let expected =
+                render_reference(&truth, &layout, &config, &mut reference_rng, seed ^ 0x5bd1);
             prop_assert_eq!(pixel_bits(&frame), pixel_bits(&expected));
             prop_assert!(rng == reference_rng, "RNG state diverged");
+        }
+    }
+
+    #[test]
+    fn render_draws_exactly_one_word() {
+        let layout = TrapLayout::new(9, 7, 6.0, 4.0);
+        for (seed, fill) in [(1u64, 0.0), (2, 0.5), (3, 1.0)] {
+            let mut rng = seeded_rng(seed);
+            let truth = AtomGrid::random(9, 7, fill, &mut rng);
+            let mut expected = rng.clone();
+            expected.next_u64();
+            for config in [ImagingConfig::default(), ImagingConfig::low_snr()] {
+                let mut after = rng.clone();
+                let _ = render(&truth, &layout, &config, &mut after);
+                assert_eq!(after, expected, "seed {seed}");
+            }
         }
     }
 

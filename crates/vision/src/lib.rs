@@ -13,28 +13,37 @@
 //! [`Detector`](detect::Detector) recovers the occupancy with per-trap
 //! region-of-interest photometry and (optionally automatic) thresholding.
 //!
-//! ## The RNG stream is part of the contract
+//! ## The imaging model is part of the contract
 //!
 //! A shot's frame is a pure function of the truth grid, the layout, the
-//! imaging parameters and the generator's state, and so is the state the
-//! generator is left in — which every later draw of the shot (transport
-//! loss, the next round's frame) depends on. Service reports, known-answer
-//! hashes and the equivalence suites all pin this, so the hot path is
-//! optimised only in ways that keep every pixel bit and every draw:
+//! imaging parameters and one word of the caller's generator, the frame
+//! key: [`render`](image::render) draws exactly that word and nothing
+//! else, so every later draw of the shot (transport loss, the next
+//! round's frame) starts one word on. Service reports, known-answer
+//! hashes and the equivalence suites all pin this. The model is
+//! versioned as [`IMAGING_MODEL_VERSION`]; `docs/PROTOCOL.md` specifies
+//! it.
+//!
+//! Version 2 keys every variate by `(frame key, domain, index)` through
+//! SplitMix64 ([`noise::NoiseStream`]): trap photons by trap index,
+//! background by pixel index, read noise by pixel pair. A pixel's value
+//! therefore does not depend on the order pixels are visited. Small
+//! Poisson means take one uniform through a per-frame inverse-CDF table
+//! ([`noise::Poisson`]), and Gaussians come in Marsaglia polar pairs,
+//! one `ln` and one `sqrt` per two pixels and no trigonometry. Version
+//! 1 drew the same distributions straight from the stream (Knuth's
+//! product method, about three uniforms per background pixel, and
+//! Box–Muller keeping only its cosine variate); v2 renders the same
+//! frames statistically, not bit for bit.
+//!
+//! The rest of the hot path keeps every bit:
 //!
 //! * [`render`](image::render) evaluates the Gaussian PSF once per
 //!   distinct sub-pixel centre offset into a stamp (one stamp per frame
 //!   for whole-pitch layouts) holding exactly the per-pixel weights, and
 //!   adds it through row slices clipped once per spot;
-//! * [`Poisson`](noise::Poisson) sets up Knuth's `exp(-λ)` bound once per
-//!   frame instead of once per pixel;
 //! * [`Detector`](detect::Detector) finds the background quartile by
 //!   selection instead of sorting the frame.
-//!
-//! What remains per frame is the noise itself, one Poisson and one
-//! Gaussian variate per pixel. Making that cheaper means drawing
-//! differently, which changes every frame: a declared change of the
-//! imaging model, not an optimisation.
 //!
 //! ```
 //! use qrm_vision::prelude::*;
@@ -59,6 +68,11 @@ pub mod detect;
 pub mod image;
 pub mod layout;
 pub mod noise;
+
+/// The version of the imaging model [`render`](image::render)
+/// implements. Frames, and every report byte downstream of them, are
+/// reproducible only within one version; see `docs/PROTOCOL.md`.
+pub const IMAGING_MODEL_VERSION: u32 = 2;
 
 /// Commonly used items.
 pub mod prelude {
